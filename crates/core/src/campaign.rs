@@ -27,11 +27,17 @@ use crate::session::{CampaignSession, ShardResult};
 use crate::state::{FreqState, PairKind};
 
 /// One pair's full result: measurements plus analysis.
-#[derive(Clone, Debug)]
+///
+/// The legacy keys `init_mhz` / `target_mhz` keep core-only archives
+/// byte-identical; a two-domain state serialises in place as
+/// `{"core": .., "mem": ..}`.
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct PairMeasurement {
     /// Initial frequency state.
+    #[serde(rename = "init_mhz")]
     pub init: FreqState,
     /// Target frequency state.
+    #[serde(rename = "target_mhz")]
     pub target: FreqState,
     /// How the measurement loop ended.
     pub outcome: PairOutcome,
@@ -70,35 +76,6 @@ impl PairMeasurement {
     /// memory for core-equal pairs).
     pub fn is_increase(&self) -> bool {
         self.target > self.init
-    }
-}
-
-// Hand-written (de)serialisation: the legacy field names `init_mhz` /
-// `target_mhz` are kept so core-only archives stay byte-identical; a
-// two-domain state serialises in place as `{"core": .., "mem": ..}`.
-impl serde::Serialize for PairMeasurement {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("init_mhz".to_string(), self.init.to_value()),
-            ("target_mhz".to_string(), self.target.to_value()),
-            ("outcome".to_string(), self.outcome.to_value()),
-            ("analysis".to_string(), self.analysis.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for PairMeasurement {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value.as_map().ok_or_else(|| {
-            serde::Error::custom(format!("expected map for PairMeasurement, got {value:?}"))
-        })?;
-        let field = |name: &str| serde::field(entries, name, "PairMeasurement");
-        Ok(PairMeasurement {
-            init: serde::Deserialize::from_value(field("init_mhz")?)?,
-            target: serde::Deserialize::from_value(field("target_mhz")?)?,
-            outcome: serde::Deserialize::from_value(field("outcome")?)?,
-            analysis: serde::Deserialize::from_value(field("analysis")?)?,
-        })
     }
 }
 
@@ -241,8 +218,8 @@ impl CampaignResult {
     }
 }
 
-// Hand-written (de)serialisation: the lookup index is derived state and
-// must not appear in (or be trusted from) the JSON.
+// Hand-written: the lookup index is derived state, rebuilt on load and
+// never written to (or trusted from) the JSON.
 impl serde::Serialize for CampaignResult {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![

@@ -103,10 +103,9 @@ impl PairOutcome {
     }
 }
 
-// The vendored serde derive handles unit-variant enums only, so the
-// data-carrying outcome is (de)serialised by hand as a tagged map — the
-// same externally-visible shape upstream serde's adjacently-tagged enums
-// would produce.
+// Hand-written: the `Completed` run sits under a `"run"` key next to the
+// `"status"` tag, while upstream's internally tagged enums would flatten
+// the run's fields into the tagged map.
 impl serde::Serialize for PairOutcome {
     fn to_value(&self) -> serde::Value {
         let tag = |s: &str| ("status".to_string(), serde::Value::Str(s.to_string()));

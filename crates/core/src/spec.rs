@@ -259,6 +259,8 @@ pub enum FreqSelection {
     Ladder,
 }
 
+// Hand-written: the three forms are told apart by JSON shape (list, map,
+// string), which no upstream serde attribute reproduces.
 impl serde::Serialize for FreqSelection {
     fn to_value(&self) -> serde::Value {
         match self {
@@ -277,7 +279,7 @@ impl serde::Deserialize for FreqSelection {
             serde::Value::Seq(_) => Ok(FreqSelection::List(serde::Deserialize::from_value(value)?)),
             serde::Value::Str(s) if s == "ladder" => Ok(FreqSelection::Ladder),
             serde::Value::Map(entries) => {
-                check_known_fields(entries, &["subset"], "FreqSelection")?;
+                serde::deny_unknown_fields(entries, &["subset"], "FreqSelection")?;
                 let n = serde::field(entries, "subset", "FreqSelection")?;
                 Ok(FreqSelection::Subset(serde::Deserialize::from_value(n)?))
             }
@@ -293,7 +295,8 @@ impl serde::Deserialize for FreqSelection {
 /// See the [module docs](self) for the tour; construct through
 /// [`CampaignSpec::builder`] (validated) or deserialise from JSON
 /// ([`CampaignSpec::from_json`], validated on resolution).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct CampaignSpec {
     /// Free-text description (carried through serialisation; shown by
     /// `latest validate`).
@@ -312,6 +315,7 @@ pub struct CampaignSpec {
     /// campaign; the field is omitted from JSON when empty so pre-memory
     /// specs serialise byte-identically (content-addressed run ids are
     /// unchanged).
+    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub mem_frequencies: Vec<u32>,
     /// Master simulation seed.
     pub seed: u64,
@@ -541,103 +545,6 @@ impl CampaignSpec {
     }
 }
 
-const CAMPAIGN_SPEC_FIELDS: &[&str] = &[
-    "description",
-    "device",
-    "device_index",
-    "hostname",
-    "frequencies",
-    "mem_frequencies",
-    "seed",
-    "rse_threshold",
-    "min_measurements",
-    "max_measurements",
-    "simulated_sms",
-    "workload",
-];
-
-impl serde::Serialize for CampaignSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("description".to_string(), self.description.to_value()),
-            ("device".to_string(), self.device.to_value()),
-            ("device_index".to_string(), self.device_index.to_value()),
-            ("hostname".to_string(), self.hostname.to_value()),
-            ("frequencies".to_string(), self.frequencies.to_value()),
-        ];
-        // Emitted only when non-empty: a core-only spec must serialise to
-        // the exact pre-memory bytes, or its content-addressed RunId — and
-        // with it every existing archive — would silently change.
-        if !self.mem_frequencies.is_empty() {
-            entries.push((
-                "mem_frequencies".to_string(),
-                self.mem_frequencies.to_value(),
-            ));
-        }
-        entries.extend([
-            ("seed".to_string(), self.seed.to_value()),
-            ("rse_threshold".to_string(), self.rse_threshold.to_value()),
-            (
-                "min_measurements".to_string(),
-                self.min_measurements.to_value(),
-            ),
-            (
-                "max_measurements".to_string(),
-                self.max_measurements.to_value(),
-            ),
-            ("simulated_sms".to_string(), self.simulated_sms.to_value()),
-            ("workload".to_string(), self.workload.to_value()),
-        ]);
-        serde::Value::Map(entries)
-    }
-}
-
-/// Reject typoed keys: a scenario knob that silently falls back to its
-/// default is worse than a parse error.
-fn check_known_fields(
-    entries: &[(String, serde::Value)],
-    known: &[&str],
-    type_name: &str,
-) -> Result<(), serde::Error> {
-    for (key, _) in entries {
-        if !known.contains(&key.as_str()) {
-            return Err(serde::Error::custom(format!(
-                "unknown field `{key}` in {type_name} (known fields: {})",
-                known.join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
-impl serde::Deserialize for CampaignSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value.as_map().ok_or_else(|| {
-            serde::Error::custom(format!("expected map for CampaignSpec, got {value:?}"))
-        })?;
-        check_known_fields(entries, CAMPAIGN_SPEC_FIELDS, "CampaignSpec")?;
-        let mut spec = CampaignSpec::default();
-        for (key, v) in entries {
-            match key.as_str() {
-                "description" => spec.description = serde::Deserialize::from_value(v)?,
-                "device" => spec.device = serde::Deserialize::from_value(v)?,
-                "device_index" => spec.device_index = serde::Deserialize::from_value(v)?,
-                "hostname" => spec.hostname = serde::Deserialize::from_value(v)?,
-                "frequencies" => spec.frequencies = serde::Deserialize::from_value(v)?,
-                "mem_frequencies" => spec.mem_frequencies = serde::Deserialize::from_value(v)?,
-                "seed" => spec.seed = serde::Deserialize::from_value(v)?,
-                "rse_threshold" => spec.rse_threshold = serde::Deserialize::from_value(v)?,
-                "min_measurements" => spec.min_measurements = serde::Deserialize::from_value(v)?,
-                "max_measurements" => spec.max_measurements = serde::Deserialize::from_value(v)?,
-                "simulated_sms" => spec.simulated_sms = serde::Deserialize::from_value(v)?,
-                "workload" => spec.workload = serde::Deserialize::from_value(v)?,
-                _ => unreachable!("checked above"),
-            }
-        }
-        Ok(spec)
-    }
-}
-
 /// Typed builder for [`CampaignSpec`] whose [`CampaignSpecBuilder::build`]
 /// validates the spec (against the built-in registries) before handing it
 /// out — a builder-accepted spec always serialises, round-trips and
@@ -737,9 +644,11 @@ impl CampaignSpecBuilder {
 
 /// Serialisable description of a multi-device fleet campaign: one
 /// [`CampaignSpec`] per member, run as a [`Fleet`].
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FleetSpec {
     /// Free-text description.
+    #[serde(default)]
     pub description: String,
     /// Member campaigns, one per device slot.
     pub members: Vec<CampaignSpec>,
@@ -826,33 +735,6 @@ impl FleetSpec {
     }
 }
 
-impl serde::Serialize for FleetSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("description".to_string(), self.description.to_value()),
-            ("members".to_string(), self.members.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for FleetSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value.as_map().ok_or_else(|| {
-            serde::Error::custom(format!("expected map for FleetSpec, got {value:?}"))
-        })?;
-        check_known_fields(entries, &["description", "members"], "FleetSpec")?;
-        let members = serde::field(entries, "members", "FleetSpec")?;
-        let description = match entries.iter().find(|(k, _)| k == "description") {
-            Some((_, v)) => serde::Deserialize::from_value(v)?,
-            None => String::new(),
-        };
-        Ok(FleetSpec {
-            description,
-            members: serde::Deserialize::from_value(members)?,
-        })
-    }
-}
-
 /// A scenario file's content: either one campaign or a fleet of them.
 ///
 /// Disambiguated by shape — a JSON object with a `members` key is a fleet,
@@ -886,6 +768,7 @@ impl ScenarioSpec {
     }
 }
 
+// Hand-written: shape-dispatched on the `members` key, with no tag of its own.
 impl serde::Serialize for ScenarioSpec {
     fn to_value(&self) -> serde::Value {
         match self {
@@ -918,7 +801,7 @@ impl serde::Deserialize for ScenarioSpec {
 /// RSE threshold, workload). Persisting the spec next to the result lets a
 /// resume refuse a checkpoint taken under a different configuration
 /// instead of silently merging pairs measured under mixed knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct SpecCheckpoint {
     /// The effective campaign spec the checkpointed run was started from.
     pub spec: CampaignSpec,
@@ -953,31 +836,6 @@ impl SpecCheckpoint {
         let text = std::fs::read_to_string(path)?;
         Self::from_json(&text)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
-}
-
-impl serde::Serialize for SpecCheckpoint {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("spec".to_string(), self.spec.to_value()),
-            ("result".to_string(), self.result.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for SpecCheckpoint {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value.as_map().ok_or_else(|| {
-            serde::Error::custom(format!("expected map for SpecCheckpoint, got {value:?}"))
-        })?;
-        Ok(SpecCheckpoint {
-            spec: serde::Deserialize::from_value(serde::field(entries, "spec", "SpecCheckpoint")?)?,
-            result: serde::Deserialize::from_value(serde::field(
-                entries,
-                "result",
-                "SpecCheckpoint",
-            )?)?,
-        })
     }
 }
 
@@ -1081,6 +939,13 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("frequncies"), "{err}");
         assert!(err.to_string().contains("known fields"), "{err}");
+        let err = FleetSpec::from_json(r#"{"members": [], "descripton": "typo"}"#).unwrap_err();
+        assert!(err.to_string().contains("`descripton`"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("known fields: description, members"),
+            "{err}"
+        );
     }
 
     #[test]

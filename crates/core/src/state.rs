@@ -138,6 +138,8 @@ impl std::fmt::Display for FreqState {
     }
 }
 
+// Hand-written: shape-dispatched, a bare number for core-only states and
+// a `{"core", "mem"}` map otherwise.
 impl serde::Serialize for FreqState {
     fn to_value(&self) -> serde::Value {
         match self.mem {
@@ -159,19 +161,12 @@ impl serde::Deserialize for FreqState {
                 Ok(FreqState::core_only(serde::Deserialize::from_value(value)?))
             }
             serde::Value::Map(entries) => {
-                for (key, _) in entries {
-                    if key != "core" && key != "mem" {
-                        return Err(serde::Error::custom(format!(
-                            "unknown field `{key}` in FreqState (known fields: core, mem)"
-                        )));
-                    }
-                }
+                serde::deny_unknown_fields(entries, &["core", "mem"], "FreqState")?;
                 let core =
                     serde::Deserialize::from_value(serde::field(entries, "core", "FreqState")?)?;
-                let mem = match entries.iter().find(|(k, _)| k == "mem") {
-                    Some((_, v)) => Some(serde::Deserialize::from_value(v)?),
-                    None => None,
-                };
+                let mem = serde::optional_field(entries, "mem")
+                    .map(serde::Deserialize::from_value)
+                    .transpose()?;
                 Ok(FreqState { core, mem })
             }
             other => Err(serde::Error::custom(format!(

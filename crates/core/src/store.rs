@@ -41,8 +41,12 @@ use crate::spec::{CampaignSpec, FleetSpec};
 
 /// Content-addressed identity of an archived run: a stable hash of the
 /// effective spec's canonical JSON (which covers device, seed, frequencies
-/// and every stopping-rule knob).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// and every stopping-rule knob). Serialises as its string form; parsing
+/// goes through [`RunId::parse`], so outside input is validated.
+#[derive(
+    Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
+)]
+#[serde(try_from = "String", into = "String")]
 pub struct RunId(String);
 
 impl RunId {
@@ -87,6 +91,20 @@ impl RunId {
     }
 }
 
+impl TryFrom<String> for RunId {
+    type Error = StoreError;
+
+    fn try_from(text: String) -> Result<RunId, StoreError> {
+        RunId::parse(&text)
+    }
+}
+
+impl From<RunId> for String {
+    fn from(id: RunId) -> String {
+        id.0
+    }
+}
+
 impl std::fmt::Display for RunId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.0)
@@ -118,7 +136,7 @@ fn fnv1a64(bytes: &[u8], offset_basis: u64) -> u64 {
 /// free of wall-clock timestamps: an archive entry's bytes are a pure
 /// function of the run, so re-archiving the same run is a no-op and
 /// rendered bundles stay bitwise reproducible.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Provenance {
     /// Version of this tool that produced the result.
     pub tool_version: String,
@@ -153,43 +171,6 @@ impl Provenance {
     }
 }
 
-impl serde::Serialize for Provenance {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("tool_version".to_string(), self.tool_version.to_value()),
-            ("device_name".to_string(), self.device_name.to_value()),
-            ("device_index".to_string(), self.device_index.to_value()),
-            ("hostname".to_string(), self.hostname.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("pairs_total".to_string(), self.pairs_total.to_value()),
-            (
-                "pairs_completed".to_string(),
-                self.pairs_completed.to_value(),
-            ),
-            ("description".to_string(), self.description.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Provenance {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value.as_map().ok_or_else(|| {
-            serde::Error::custom(format!("expected map for Provenance, got {value:?}"))
-        })?;
-        let field = |name: &str| serde::field(entries, name, "Provenance");
-        Ok(Provenance {
-            tool_version: serde::Deserialize::from_value(field("tool_version")?)?,
-            device_name: serde::Deserialize::from_value(field("device_name")?)?,
-            device_index: serde::Deserialize::from_value(field("device_index")?)?,
-            hostname: serde::Deserialize::from_value(field("hostname")?)?,
-            seed: serde::Deserialize::from_value(field("seed")?)?,
-            pairs_total: serde::Deserialize::from_value(field("pairs_total")?)?,
-            pairs_completed: serde::Deserialize::from_value(field("pairs_completed")?)?,
-            description: serde::Deserialize::from_value(field("description")?)?,
-        })
-    }
-}
-
 /// One archived run: the effective spec, the full result, and provenance.
 #[derive(Clone, Debug)]
 pub struct StoredRun {
@@ -205,14 +186,13 @@ pub struct StoredRun {
 
 const STORE_FORMAT: u64 = 1;
 
+// Hand-written: the `format` version is written and gated on load, and
+// no field of the struct carries it.
 impl serde::Serialize for StoredRun {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![
             ("format".to_string(), STORE_FORMAT.to_value()),
-            (
-                "run_id".to_string(),
-                self.run_id.as_str().to_string().to_value(),
-            ),
+            ("run_id".to_string(), self.run_id.to_value()),
             ("provenance".to_string(), self.provenance.to_value()),
             ("spec".to_string(), self.spec.to_value()),
             ("result".to_string(), self.result.to_value()),
@@ -232,11 +212,8 @@ impl serde::Deserialize for StoredRun {
                 "unsupported archive format {format} (this tool reads {STORE_FORMAT})"
             )));
         }
-        let id_text: String = serde::Deserialize::from_value(field("run_id")?)?;
-        let run_id = RunId::parse(&id_text)
-            .map_err(|e| serde::Error::custom(format!("bad run_id in archive entry: {e}")))?;
         Ok(StoredRun {
-            run_id,
+            run_id: serde::Deserialize::from_value(field("run_id")?)?,
             provenance: serde::Deserialize::from_value(field("provenance")?)?,
             spec: serde::Deserialize::from_value(field("spec")?)?,
             result: serde::Deserialize::from_value(field("result")?)?,

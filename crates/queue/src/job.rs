@@ -69,7 +69,8 @@ impl std::fmt::Display for JobKey {
 }
 
 /// How a [`JobState::Done`] job reached completion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum CompletionVia {
     /// The worker pool ran the campaign(s).
     Executed,
@@ -96,7 +97,8 @@ impl std::fmt::Display for CompletionVia {
 /// A service killed mid-run reverts its `Running` jobs to `Queued` on
 /// restart ([`JobQueue::recover`](crate::queue::JobQueue::recover)); their
 /// checkpoints make the re-run resume instead of restart.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(tag = "state", rename_all = "lowercase")]
 pub enum JobState {
     /// Waiting for a worker.
     Queued,
@@ -150,71 +152,10 @@ impl std::fmt::Display for JobState {
     }
 }
 
-impl serde::Serialize for JobState {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![("state".to_string(), self.label().to_string().to_value())];
-        match self {
-            JobState::Done { run_ids, via } => {
-                let ids: Vec<String> = run_ids.iter().map(|r| r.to_string()).collect();
-                entries.push(("run_ids".to_string(), ids.to_value()));
-                entries.push(("via".to_string(), via.to_string().to_value()));
-            }
-            JobState::Failed { error } => {
-                entries.push(("error".to_string(), error.to_value()));
-            }
-            _ => {}
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl serde::Deserialize for JobState {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value.as_map().ok_or_else(|| {
-            serde::Error::custom(format!("expected map for JobState, got {value:?}"))
-        })?;
-        let tag: String =
-            serde::Deserialize::from_value(serde::field(entries, "state", "JobState")?)?;
-        match tag.as_str() {
-            "queued" => Ok(JobState::Queued),
-            "running" => Ok(JobState::Running),
-            "cancelled" => Ok(JobState::Cancelled),
-            "failed" => Ok(JobState::Failed {
-                error: serde::Deserialize::from_value(serde::field(entries, "error", "JobState")?)?,
-            }),
-            "done" => {
-                let ids: Vec<String> =
-                    serde::Deserialize::from_value(serde::field(entries, "run_ids", "JobState")?)?;
-                let run_ids = ids
-                    .iter()
-                    .map(|t| {
-                        RunId::parse(t)
-                            .map_err(|e| serde::Error::custom(format!("bad run id in job: {e}")))
-                    })
-                    .collect::<Result<Vec<RunId>, serde::Error>>()?;
-                let via: String =
-                    serde::Deserialize::from_value(serde::field(entries, "via", "JobState")?)?;
-                let via = match via.as_str() {
-                    "executed" => CompletionVia::Executed,
-                    "cache" => CompletionVia::Cache,
-                    "coalesced" => CompletionVia::Coalesced,
-                    other => {
-                        return Err(serde::Error::custom(format!(
-                            "unknown completion mode {other:?}"
-                        )))
-                    }
-                };
-                Ok(JobState::Done { run_ids, via })
-            }
-            other => Err(serde::Error::custom(format!("unknown job state {other:?}"))),
-        }
-    }
-}
-
 /// Shard-level progress of one member campaign, journaled while the job
 /// runs so `queue status` (and a post-crash inspection) can see how far
 /// execution got without parsing checkpoints.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct MemberLedger {
     /// Pairs settled (measured, skipped or restored from checkpoint).
     pub pairs_done: usize,
@@ -231,7 +172,7 @@ pub struct MemberLedger {
 /// which fraction of the job survives in checkpoints — a requeued job
 /// re-executes only its unfinished shards (the checkpoint restores the
 /// finished ones verbatim).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ShardLedger {
     /// Per-member progress, in slot order.
     pub members: Vec<MemberLedger>,
@@ -267,57 +208,6 @@ impl ShardLedger {
             self.shards_done(),
             self.shards_total()
         )
-    }
-}
-
-impl serde::Serialize for MemberLedger {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("pairs_done".to_string(), self.pairs_done.to_value()),
-            ("pairs_total".to_string(), self.pairs_total.to_value()),
-            ("shards_done".to_string(), self.shards_done.to_value()),
-            ("shards_total".to_string(), self.shards_total.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for MemberLedger {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value.as_map().ok_or_else(|| {
-            serde::Error::custom(format!("expected map for MemberLedger, got {value:?}"))
-        })?;
-        let get = |name: &str| -> Result<usize, serde::Error> {
-            let v: u64 =
-                serde::Deserialize::from_value(serde::field(entries, name, "MemberLedger")?)?;
-            Ok(v as usize)
-        };
-        Ok(MemberLedger {
-            pairs_done: get("pairs_done")?,
-            pairs_total: get("pairs_total")?,
-            shards_done: get("shards_done")?,
-            shards_total: get("shards_total")?,
-        })
-    }
-}
-
-impl serde::Serialize for ShardLedger {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![("members".to_string(), self.members.to_value())])
-    }
-}
-
-impl serde::Deserialize for ShardLedger {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value.as_map().ok_or_else(|| {
-            serde::Error::custom(format!("expected map for ShardLedger, got {value:?}"))
-        })?;
-        Ok(ShardLedger {
-            members: serde::Deserialize::from_value(serde::field(
-                entries,
-                "members",
-                "ShardLedger",
-            )?)?,
-        })
     }
 }
 
@@ -387,6 +277,8 @@ impl Job {
     }
 }
 
+// Hand-written: the `format` version is written and gated on load, and
+// no field of the struct carries it.
 impl serde::Serialize for Job {
     fn to_value(&self) -> serde::Value {
         let mut entries = vec![
@@ -422,10 +314,8 @@ impl serde::Deserialize for Job {
         let priority: i64 = serde::Deserialize::from_value(field("priority")?)?;
         // Optional: entries journaled before the shard scheduler existed
         // (or outside an execution window) carry no ledger.
-        let ledger = entries
-            .iter()
-            .find(|(k, _)| k == "ledger")
-            .map(|(_, v)| serde::Deserialize::from_value(v))
+        let ledger = serde::optional_field(entries, "ledger")
+            .map(serde::Deserialize::from_value)
             .transpose()?;
         Ok(Job {
             id,

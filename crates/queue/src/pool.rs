@@ -157,6 +157,7 @@ impl DrainStats {
     }
 }
 
+// Hand-written: `jobs_per_sec` is a computed field.
 impl serde::Serialize for DrainStats {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![
@@ -913,6 +914,9 @@ impl WorkerPool {
         };
         let job_id = run.job.lock().expect("job slot poisoned").id;
 
+        // The settle hook cannot return an error: the first failed
+        // checkpoint write is kept and surfaced once the shard returns.
+        let ckpt_error = std::cell::RefCell::new(None);
         let on_settle = |index: usize, meas: &PairMeasurement| {
             // The session already spooled this pair's events (its
             // `PairFinished` is emitted before this hook runs): deliver
@@ -922,7 +926,9 @@ impl WorkerPool {
             slots[index] = Some(meas.clone());
             let settled = slots.iter().filter(|s| s.is_some()).count();
             if settled % self.config.checkpoint_every == 0 || settled == slots.len() {
-                self.write_checkpoint(mr, &slots);
+                if let Err(e) = self.write_checkpoint(mr, &slots) {
+                    ckpt_error.borrow_mut().get_or_insert(e);
+                }
                 // The settle hook doubles as the busy pool's cancellation
                 // poll: markers and shutdown are honoured at the next
                 // checkpoint boundary even when no worker is idle.
@@ -935,6 +941,9 @@ impl WorkerPool {
         let exec_start = self.now_ns();
         let outcome = mr.session.run_unit_with(&mr.prelude, unit, on_settle);
         self.record(Stage::ShardExec, self.now_ns().saturating_sub(exec_start));
+        if let Some(e) = ckpt_error.into_inner() {
+            return Err(e.into());
+        }
         match outcome {
             Ok(shard) => {
                 let measured = shard
@@ -950,7 +959,7 @@ impl WorkerPool {
                     mr.shards_done.fetch_add(1, Ordering::SeqCst);
                     {
                         let slots = mr.slots.lock().expect("member slots poisoned");
-                        self.write_checkpoint(mr, &slots);
+                        self.write_checkpoint(mr, &slots)?;
                     }
                     self.update_ledger(run)?;
                 }
@@ -965,7 +974,11 @@ impl WorkerPool {
     /// written with the same atomic rename discipline as the journal.
     /// Unsettled slots become `Cancelled` placeholders — exactly the
     /// partial-result shape `resume_from` validates.
-    fn write_checkpoint(&self, mr: &MemberRun, slots: &[Option<PairMeasurement>]) {
+    fn write_checkpoint(
+        &self,
+        mr: &MemberRun,
+        slots: &[Option<PairMeasurement>],
+    ) -> std::io::Result<()> {
         let start = self.now_ns();
         let pairs: Vec<(usize, PairMeasurement)> = slots
             .iter()
@@ -979,8 +992,9 @@ impl WorkerPool {
             spec: mr.spec.clone(),
             result,
         };
-        let _ = doc.save(&mr.ckpt_path);
+        let saved = doc.save(&mr.ckpt_path);
         self.record(Stage::CheckpointStall, self.now_ns().saturating_sub(start));
+        saved
     }
 
     /// Journal the job's shard ledger (pair/shard progress per member) so

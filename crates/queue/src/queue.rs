@@ -7,6 +7,7 @@
 //! <dir>/jobs/done/job-000001.json   settled entries, compacted out of the
 //!                                   pending set on settle
 //! <dir>/jobs/job-000001.cancel      cancellation request marker
+//! <dir>/jobs/corrupt/job-000001.json an unparsable entry, moved aside
 //! <dir>/checkpoints/job-000001.m0.json   per-member resume checkpoints
 //! <dir>/store/                      the result cache (a ResultStore)
 //! <dir>/events.log                  append-only event feed (`queue watch`)
@@ -29,6 +30,11 @@
 //! Submissions claim their id with a hard-link publish (create-new
 //! semantics), so two concurrent `queue submit` processes can never land
 //! on the same id.
+//!
+//! One torn or corrupt journal file must not stop the queue: the scans
+//! ([`JobQueue::jobs`], the pending set behind claiming, recovery) move an
+//! entry that fails to parse into `jobs/corrupt/` and carry on with the
+//! rest. [`JobQueue::quarantined`] lists what was moved aside.
 //!
 //! Scheduling is priority-first (higher `priority` runs sooner), FIFO by
 //! job id within a priority class. Deduplication is key-based:
@@ -172,6 +178,10 @@ impl JobQueue {
 
     fn done_dir(&self) -> PathBuf {
         self.jobs_dir().join("done")
+    }
+
+    fn corrupt_dir(&self) -> PathBuf {
+        self.jobs_dir().join("corrupt")
     }
 
     /// Take the queue's cross-process advisory lock, blocking until it is
@@ -340,6 +350,40 @@ impl JobQueue {
         })
     }
 
+    /// [`JobQueue::load`] for the journal scans: an entry that does not
+    /// parse is moved into `jobs/corrupt/` and skipped (`Ok(None)`).
+    fn load_or_quarantine(&self, id: JobId) -> QueueResult<Option<Job>> {
+        match self.load(id) {
+            Ok(job) => Ok(Some(job)),
+            Err(QueueError::Parse { path, .. }) => {
+                fs::create_dir_all(self.corrupt_dir())?;
+                fs::rename(&path, self.corrupt_dir().join(format!("{id}.json")))?;
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Journal entries moved into `jobs/corrupt/` because they did not
+    /// parse, in id order.
+    pub fn quarantined(&self) -> QueueResult<Vec<PathBuf>> {
+        let dir = self.corrupt_dir();
+        Ok(self
+            .quarantined_ids()?
+            .into_iter()
+            .map(|id| dir.join(format!("{id}.json")))
+            .collect())
+    }
+
+    fn quarantined_ids(&self) -> QueueResult<Vec<JobId>> {
+        if !self.corrupt_dir().is_dir() {
+            return Ok(Vec::new());
+        }
+        let mut ids = Self::ids_in(&self.corrupt_dir())?;
+        ids.sort();
+        Ok(ids)
+    }
+
     fn ids_in(dir: &Path) -> QueueResult<Vec<JobId>> {
         let mut ids = Vec::new();
         for entry in fs::read_dir(dir)? {
@@ -375,9 +419,9 @@ impl JobQueue {
             // A settled twin means this pending entry is a crash stray;
             // load() already prefers the done/ copy, so skip strays whose
             // loaded state is terminal.
-            let job = self.load(id)?;
-            if job.state.is_pending() {
-                jobs.push(job);
+            match self.load_or_quarantine(id)? {
+                Some(job) if job.state.is_pending() => jobs.push(job),
+                _ => {}
             }
         }
         Ok(jobs)
@@ -391,12 +435,19 @@ impl JobQueue {
         ids.extend(Self::ids_in(&self.done_dir())?);
         ids.sort();
         ids.dedup();
-        ids.into_iter().map(|id| self.load(id)).collect()
+        let mut jobs = Vec::with_capacity(ids.len());
+        for id in ids {
+            jobs.extend(self.load_or_quarantine(id)?);
+        }
+        Ok(jobs)
     }
 
+    /// The highest id ever allocated; quarantined entries count, so their
+    /// ids are never handed out again.
     fn highest_id(&self) -> QueueResult<Option<JobId>> {
         let mut highest = Self::ids_in(&self.jobs_dir())?.into_iter().max();
         highest = highest.max(Self::ids_in(&self.done_dir())?.into_iter().max());
+        highest = highest.max(self.quarantined_ids()?.into_iter().max());
         Ok(highest)
     }
 
@@ -579,7 +630,9 @@ impl JobQueue {
                 }
                 continue;
             }
-            let mut job = self.load(id)?;
+            let Some(mut job) = self.load_or_quarantine(id)? else {
+                continue;
+            };
             match job.state {
                 JobState::Running => {
                     job.state = JobState::Queued;

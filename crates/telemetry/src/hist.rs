@@ -199,6 +199,8 @@ impl Histogram {
     }
 }
 
+// Hand-written: buckets are stored sparse (only non-zero `[index, n]`
+// pairs) and min/max are computed.
 impl Serialize for Histogram {
     fn to_value(&self) -> Value {
         let buckets: Vec<Value> = self

@@ -68,6 +68,8 @@ impl TelemetrySnapshot {
     }
 }
 
+// Hand-written: `records_total` and the per-stage mean/quantiles are
+// computed fields, written for readers and ignored on load.
 impl Serialize for TelemetrySnapshot {
     fn to_value(&self) -> Value {
         let stages: Vec<(String, Value)> = Stage::ALL

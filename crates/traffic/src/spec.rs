@@ -13,7 +13,8 @@ use std::fmt;
 /// Five shapes bracket the load patterns the related work scores governors
 /// against: constant services, bursty inference traffic, day/night cycles,
 /// frame-paced rendering and hard-deadline batch jobs.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(tag = "kind", rename_all = "lowercase", deny_unknown_fields)]
 pub enum TrafficShape {
     /// Homogeneous Poisson arrivals at a constant rate.
     Steady {
@@ -224,7 +225,8 @@ impl std::error::Error for TrafficErrors {}
 ///
 /// `generate()` turns it into a concrete [`TrafficTrace`](crate::stream::TrafficTrace):
 /// same spec, same trace, bit for bit.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct TrafficSpec {
     /// Scenario name (labels scorecards and file names).
     pub name: String,
@@ -372,199 +374,6 @@ impl TrafficSpec {
     }
 }
 
-const TRAFFIC_SPEC_FIELDS: &[&str] = &[
-    "name",
-    "description",
-    "shape",
-    "duration_ms",
-    "seed",
-    "work_ms",
-    "work_jitter",
-    "deadline_slack",
-];
-
-/// Reject typoed keys: a scenario knob that silently falls back to its
-/// default is worse than a parse error.
-fn check_known_fields(
-    entries: &[(String, serde::Value)],
-    known: &[&str],
-    type_name: &str,
-) -> Result<(), serde::Error> {
-    for (key, _) in entries {
-        if !known.contains(&key.as_str()) {
-            return Err(serde::Error::custom(format!(
-                "unknown field `{key}` in {type_name} (known fields: {})",
-                known.join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
-impl serde::Serialize for TrafficShape {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![("kind".to_string(), self.kind().to_string().to_value())];
-        match self {
-            TrafficShape::Steady { rate_hz } => {
-                entries.push(("rate_hz".to_string(), rate_hz.to_value()));
-            }
-            TrafficShape::Bursty {
-                burst_rate_hz,
-                gap_rate_hz,
-                burst_ms,
-                gap_ms,
-            } => {
-                entries.push(("burst_rate_hz".to_string(), burst_rate_hz.to_value()));
-                entries.push(("gap_rate_hz".to_string(), gap_rate_hz.to_value()));
-                entries.push(("burst_ms".to_string(), burst_ms.to_value()));
-                entries.push(("gap_ms".to_string(), gap_ms.to_value()));
-            }
-            TrafficShape::Diurnal {
-                peak_rate_hz,
-                trough_rate_hz,
-                period_ms,
-            } => {
-                entries.push(("peak_rate_hz".to_string(), peak_rate_hz.to_value()));
-                entries.push(("trough_rate_hz".to_string(), trough_rate_hz.to_value()));
-                entries.push(("period_ms".to_string(), period_ms.to_value()));
-            }
-            TrafficShape::Gaming {
-                frame_rate_hz,
-                heavy_every,
-                heavy_factor,
-            } => {
-                entries.push(("frame_rate_hz".to_string(), frame_rate_hz.to_value()));
-                entries.push(("heavy_every".to_string(), heavy_every.to_value()));
-                entries.push(("heavy_factor".to_string(), heavy_factor.to_value()));
-            }
-            TrafficShape::Deadline {
-                rate_hz,
-                deadline_ms,
-            } => {
-                entries.push(("rate_hz".to_string(), rate_hz.to_value()));
-                entries.push(("deadline_ms".to_string(), deadline_ms.to_value()));
-            }
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl serde::Deserialize for TrafficShape {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value.as_map().ok_or_else(|| {
-            serde::Error::custom(format!("expected map for TrafficShape, got {value:?}"))
-        })?;
-        let kind: String =
-            serde::Deserialize::from_value(serde::field(entries, "kind", "TrafficShape")?)?;
-        let get_f64 = |name: &'static str| -> Result<f64, serde::Error> {
-            serde::Deserialize::from_value(serde::field(entries, name, "TrafficShape")?)
-        };
-        match kind.as_str() {
-            "steady" => {
-                check_known_fields(entries, &["kind", "rate_hz"], "steady TrafficShape")?;
-                Ok(TrafficShape::Steady {
-                    rate_hz: get_f64("rate_hz")?,
-                })
-            }
-            "bursty" => {
-                check_known_fields(
-                    entries,
-                    &["kind", "burst_rate_hz", "gap_rate_hz", "burst_ms", "gap_ms"],
-                    "bursty TrafficShape",
-                )?;
-                Ok(TrafficShape::Bursty {
-                    burst_rate_hz: get_f64("burst_rate_hz")?,
-                    gap_rate_hz: get_f64("gap_rate_hz")?,
-                    burst_ms: get_f64("burst_ms")?,
-                    gap_ms: get_f64("gap_ms")?,
-                })
-            }
-            "diurnal" => {
-                check_known_fields(
-                    entries,
-                    &["kind", "peak_rate_hz", "trough_rate_hz", "period_ms"],
-                    "diurnal TrafficShape",
-                )?;
-                Ok(TrafficShape::Diurnal {
-                    peak_rate_hz: get_f64("peak_rate_hz")?,
-                    trough_rate_hz: get_f64("trough_rate_hz")?,
-                    period_ms: get_f64("period_ms")?,
-                })
-            }
-            "gaming" => {
-                check_known_fields(
-                    entries,
-                    &["kind", "frame_rate_hz", "heavy_every", "heavy_factor"],
-                    "gaming TrafficShape",
-                )?;
-                Ok(TrafficShape::Gaming {
-                    frame_rate_hz: get_f64("frame_rate_hz")?,
-                    heavy_every: serde::Deserialize::from_value(serde::field(
-                        entries,
-                        "heavy_every",
-                        "TrafficShape",
-                    )?)?,
-                    heavy_factor: get_f64("heavy_factor")?,
-                })
-            }
-            "deadline" => {
-                check_known_fields(
-                    entries,
-                    &["kind", "rate_hz", "deadline_ms"],
-                    "deadline TrafficShape",
-                )?;
-                Ok(TrafficShape::Deadline {
-                    rate_hz: get_f64("rate_hz")?,
-                    deadline_ms: get_f64("deadline_ms")?,
-                })
-            }
-            other => Err(serde::Error::custom(format!(
-                "unknown traffic shape `{other}` (known shapes: {})",
-                TrafficShape::KINDS.join(", ")
-            ))),
-        }
-    }
-}
-
-impl serde::Serialize for TrafficSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("name".to_string(), self.name.to_value()),
-            ("description".to_string(), self.description.to_value()),
-            ("shape".to_string(), self.shape.to_value()),
-            ("duration_ms".to_string(), self.duration_ms.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("work_ms".to_string(), self.work_ms.to_value()),
-            ("work_jitter".to_string(), self.work_jitter.to_value()),
-            ("deadline_slack".to_string(), self.deadline_slack.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for TrafficSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value.as_map().ok_or_else(|| {
-            serde::Error::custom(format!("expected map for TrafficSpec, got {value:?}"))
-        })?;
-        check_known_fields(entries, TRAFFIC_SPEC_FIELDS, "TrafficSpec")?;
-        let mut spec = TrafficSpec::default();
-        for (key, v) in entries {
-            match key.as_str() {
-                "name" => spec.name = serde::Deserialize::from_value(v)?,
-                "description" => spec.description = serde::Deserialize::from_value(v)?,
-                "shape" => spec.shape = serde::Deserialize::from_value(v)?,
-                "duration_ms" => spec.duration_ms = serde::Deserialize::from_value(v)?,
-                "seed" => spec.seed = serde::Deserialize::from_value(v)?,
-                "work_ms" => spec.work_ms = serde::Deserialize::from_value(v)?,
-                "work_jitter" => spec.work_jitter = serde::Deserialize::from_value(v)?,
-                "deadline_slack" => spec.deadline_slack = serde::Deserialize::from_value(v)?,
-                _ => unreachable!("checked above"),
-            }
-        }
-        Ok(spec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,10 +445,40 @@ mod tests {
     fn unknown_fields_are_rejected_at_both_levels() {
         let top = TrafficSpec::from_json(r#"{"rate_hz": 10.0}"#);
         assert!(top.is_err(), "unknown top-level field must be rejected");
-        let nested = TrafficSpec::from_json(
-            r#"{"shape": {"kind": "steady", "rate_hz": 10.0, "burst_ms": 5.0}}"#,
+        let err = top.unwrap_err().to_string();
+        assert!(
+            err.contains("`rate_hz`") && err.contains("known fields: name,"),
+            "{err}"
         );
-        assert!(nested.is_err(), "unknown shape field must be rejected");
+        let nested = [
+            (r#""kind": "steady", "rate_hz": 10.0"#, "kind, rate_hz"),
+            (
+                r#""kind": "bursty", "burst_rate_hz": 1.0, "gap_rate_hz": 0.0, "burst_ms": 1.0, "gap_ms": 1.0"#,
+                "kind, burst_rate_hz, gap_rate_hz, burst_ms, gap_ms",
+            ),
+            (
+                r#""kind": "diurnal", "peak_rate_hz": 2.0, "trough_rate_hz": 1.0, "period_ms": 9.0"#,
+                "kind, peak_rate_hz, trough_rate_hz, period_ms",
+            ),
+            (
+                r#""kind": "gaming", "frame_rate_hz": 60.0, "heavy_every": 4, "heavy_factor": 2.0"#,
+                "kind, frame_rate_hz, heavy_every, heavy_factor",
+            ),
+            (
+                r#""kind": "deadline", "rate_hz": 10.0, "deadline_ms": 5.0"#,
+                "kind, rate_hz, deadline_ms",
+            ),
+        ];
+        for (fields, known) in nested {
+            let json = format!(r#"{{"shape": {{{fields}}}}}"#);
+            TrafficSpec::from_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+            let typo = format!(r#"{{"shape": {{{fields}, "rate_hzz": 5.0}}}}"#);
+            let err = TrafficSpec::from_json(&typo)
+                .expect_err("unknown shape field must be rejected")
+                .to_string();
+            assert!(err.contains("`rate_hzz`"), "{err}");
+            assert!(err.contains(&format!("(known fields: {known})")), "{err}");
+        }
         let unknown_kind = TrafficSpec::from_json(r#"{"shape": {"kind": "sawtooth"}}"#);
         assert!(unknown_kind.is_err(), "unknown shape kind must be rejected");
     }

@@ -1317,11 +1317,17 @@ fn queue_serve(raw: &[String]) -> ExitCode {
         let _ = log.append_line(&line);
     });
 
+    let quarantined_before = pool.queue().quarantined().unwrap_or_default();
     let outcome = if args.drain {
         pool.drain()
     } else {
         pool.serve()
     };
+    for path in pool.queue().quarantined().unwrap_or_default() {
+        if !quarantined_before.contains(&path) {
+            warn_quarantined(&path);
+        }
+    }
     match outcome {
         Ok(stats) => {
             eprintln!("{stats}");
@@ -1339,6 +1345,13 @@ fn queue_serve(raw: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+fn warn_quarantined(path: &std::path::Path) {
+    eprintln!(
+        "warning: unparsable journal entry moved aside to {}",
+        path.display()
+    );
 }
 
 fn queue_status(raw: &[String]) -> ExitCode {
@@ -1373,6 +1386,9 @@ fn queue_status(raw: &[String]) -> ExitCode {
         }
         _ => return queue_fail("status takes at most one job id"),
     };
+    for path in queue.quarantined().unwrap_or_default() {
+        warn_quarantined(&path);
+    }
     let mut table = TextTable::with_header(&["job", "priority", "state", "work", "detail"]);
     for job in &jobs {
         // A pending job with a journaled shard ledger (running, or

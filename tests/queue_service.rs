@@ -598,3 +598,62 @@ fn a_second_service_on_the_same_dir_is_refused() {
     assert_eq!(pool.drain().unwrap().executed, 1);
     fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_failed_checkpoint_write_fails_the_drain() {
+    let dir = temp_dir("ckpt_write_error");
+    let (pool, _events) = recording_pool(&dir, 1);
+    let job = pool
+        .queue()
+        .submit(ScenarioSpec::Campaign(tiny(12)), SubmitOptions::default())
+        .unwrap();
+    // Permission bits do not stop a root test runner, so the write is made
+    // to fail by a directory squatting on the checkpoint's temp path.
+    let tmp = pool
+        .queue()
+        .checkpoint_path(job.id, 0)
+        .with_extension("tmp");
+    fs::create_dir_all(&tmp).unwrap();
+    match pool.drain() {
+        Err(latest::queue::QueueError::Io(_)) => {}
+        other => panic!("expected the checkpoint I/O error, got {other:?}"),
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_torn_job_file_is_quarantined_and_the_queue_keeps_serving() {
+    let dir = temp_dir("torn_job");
+    let (pool, _events) = recording_pool(&dir, 1);
+    let queue = pool.queue();
+    let torn = queue
+        .submit(ScenarioSpec::Campaign(tiny(13)), SubmitOptions::default())
+        .unwrap();
+    let healthy = queue
+        .submit(ScenarioSpec::Campaign(tiny(14)), SubmitOptions::default())
+        .unwrap();
+    let path = dir.join("jobs").join(format!("{}.json", torn.id));
+    let text = fs::read_to_string(&path).unwrap();
+    fs::write(&path, &text[..text.len() / 2]).unwrap();
+
+    let stats = pool.drain().unwrap();
+    assert_eq!(stats.executed, 1, "the healthy job still runs");
+    let counts = queue.counts().unwrap();
+    assert_eq!((counts.done, counts.pending()), (1, 0));
+    assert!(matches!(
+        queue.load(healthy.id).unwrap().state,
+        JobState::Done { .. }
+    ));
+    let moved = dir
+        .join("jobs")
+        .join("corrupt")
+        .join(format!("{}.json", torn.id));
+    assert_eq!(queue.quarantined().unwrap(), vec![moved.clone()]);
+    assert_eq!(fs::read_to_string(&moved).unwrap(), text[..text.len() / 2]);
+    // A quarantined id is never handed out again.
+    let next = queue
+        .submit(ScenarioSpec::Campaign(tiny(15)), SubmitOptions::default())
+        .unwrap();
+    assert!(next.id > healthy.id);
+    fs::remove_dir_all(&dir).ok();
+}

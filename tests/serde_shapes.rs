@@ -8,9 +8,6 @@
 //! bytes again (and, where the type has `PartialEq`, the same value). A
 //! change to how any of these types is (de)serialised that moves one byte
 //! fails here, whatever the reason for the change.
-//!
-//! To capture the fixtures anew (only for a deliberate format change), run
-//! with `SERDE_SHAPES_BLESS=1`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -37,12 +34,8 @@ fn fixture(name: &str) -> PathBuf {
 /// Byte equality with the fixture, then an exact text round-trip.
 fn check_bytes<T: serde::Serialize + serde::Deserialize>(name: &str, value: &T) -> T {
     let text = serde_json::to_string_pretty(value).unwrap();
-    let path = fixture(name);
-    if std::env::var_os("SERDE_SHAPES_BLESS").is_some() {
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, &text).unwrap();
-    }
-    let golden = fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {name}: {e}"));
+    let golden =
+        fs::read_to_string(fixture(name)).unwrap_or_else(|e| panic!("reading {name}: {e}"));
     assert_eq!(text, golden, "{name}: serialised bytes moved");
     let parsed: T = serde_json::from_str(&golden).unwrap_or_else(|e| panic!("parsing {name}: {e}"));
     assert_eq!(
@@ -329,4 +322,41 @@ fn traffic_shapes() {
     };
     check("traffic_spec", &spec);
     check("traffic_spec_default", &TrafficSpec::default());
+}
+
+/// The parse rules the derives carry besides the bytes: defaults for
+/// absent keys, mandatory keys, validated run ids and closed tag sets.
+#[test]
+fn parse_rules_hold() {
+    let fleet = FleetSpec::from_json(r#"{"members": []}"#).unwrap();
+    assert_eq!(fleet.description, "");
+    let err = FleetSpec::from_json(r#"{"description": "no members"}"#).unwrap_err();
+    assert!(err.to_string().contains("missing field `members`"), "{err}");
+    let spec = CampaignSpec::from_json(r#"{"seed": 5}"#).unwrap();
+    assert_eq!(
+        spec,
+        CampaignSpec {
+            seed: 5,
+            ..CampaignSpec::default()
+        }
+    );
+
+    let id: RunId = serde_json::from_str(r#""run-ED86F01976FA04680146E8FDD3C32491""#).unwrap();
+    assert_eq!(id.as_str(), "run-ed86f01976fa04680146e8fdd3c32491");
+    let err = serde_json::from_str::<JobState>(
+        r#"{"state": "done", "run_ids": ["run-1"], "via": "cache"}"#,
+    )
+    .unwrap_err();
+    assert!(
+        err.to_string().contains("malformed run id \"run-1\""),
+        "{err}"
+    );
+    for bad in [
+        r#"{"state": "paused"}"#,
+        r#"{"state": "done", "run_ids": [], "via": "Cache"}"#,
+    ] {
+        assert!(serde_json::from_str::<JobState>(bad).is_err(), "{bad}");
+    }
+    let err = TrafficSpec::from_json(r#"{"shape": {"kind": "sawtooth"}}"#).unwrap_err();
+    assert!(err.to_string().contains("`sawtooth`"), "{err}");
 }
