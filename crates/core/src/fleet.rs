@@ -16,11 +16,11 @@
 
 use latest_cluster::AdaptiveConfig;
 use latest_gpu_sim::devices::DeviceSpec;
-use rayon::prelude::*;
 
 use crate::campaign::CampaignResult;
 use crate::config::CampaignConfig;
 use crate::error::{CoreError, CoreResult};
+use crate::exec::par_map;
 use crate::session::{CampaignEvent, CampaignSession, CancelToken};
 
 /// Observer hook for fleet-wide progress: every member session's event,
@@ -127,14 +127,20 @@ impl Fleet {
 
     /// Run every member campaign and aggregate per-device results.
     ///
-    /// Members run in parallel (each internally parallel over pairs); the
-    /// per-device seeding makes the outcome independent of scheduling. A
-    /// shared-token cancellation that lands before a member even starts its
-    /// phase 1 leaves that member in [`FleetResult::unstarted`] rather than
-    /// failing the whole fleet.
+    /// Members run in parallel, each internally parallel over its pairs,
+    /// and all of them share one process-wide budget of
+    /// `available_parallelism() − 1` helper threads besides the caller's:
+    /// nesting never oversubscribes the cores. Events of different members
+    /// and pairs therefore interleave, and observers are called from
+    /// several threads at once. The per-device seeding makes the outcome
+    /// independent of scheduling.
+    ///
+    /// A shared-token cancellation that lands before a member even starts
+    /// its phase 1 leaves that member in [`FleetResult::unstarted`] rather
+    /// than failing the whole fleet.
     pub fn run(&self) -> CoreResult<FleetResult> {
         let run_one =
-            |(slot, config): (usize, &CampaignConfig)| -> CoreResult<Option<CampaignResult>> {
+            |&(slot, config): &(usize, &CampaignConfig)| -> CoreResult<Option<CampaignResult>> {
                 let mut session = CampaignSession::new(config.clone())
                     .with_adaptive(self.adaptive)
                     .with_cancel_token(self.cancel.clone())
@@ -153,10 +159,11 @@ impl Fleet {
                     Err(e) => Err(e),
                 }
             };
+        let slots: Vec<(usize, &CampaignConfig)> = self.members.iter().enumerate().collect();
         let outcomes: CoreResult<Vec<Option<CampaignResult>>> = if self.sequential {
-            self.members.iter().enumerate().map(run_one).collect()
+            slots.iter().map(run_one).collect()
         } else {
-            self.members.par_iter().enumerate().map(run_one).collect()
+            par_map(&slots, run_one).into_iter().collect()
         };
         let mut devices = Vec::new();
         let mut unstarted = Vec::new();

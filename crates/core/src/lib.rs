@@ -60,6 +60,7 @@ pub mod campaign;
 pub mod config;
 pub mod controller;
 pub mod error;
+mod exec;
 pub mod fleet;
 pub mod output;
 pub mod phase1;

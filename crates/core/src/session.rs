@@ -30,13 +30,13 @@ use std::sync::Arc;
 
 use latest_cluster::AdaptiveConfig;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 
 use crate::analysis::analyze_pair;
 use crate::campaign::{CampaignResult, PairMeasurement};
 use crate::config::CampaignConfig;
 use crate::controller::{run_pair, PairOutcome};
 use crate::error::{CoreError, CoreResult};
+use crate::exec::par_map;
 use crate::phase1::{run_phase1, Phase1Result};
 use crate::platform::{PlatformFactory, SimPlatformFactory};
 use crate::probe::{estimate_upper_bound, ProbeResult};
@@ -494,8 +494,15 @@ impl<F: PlatformFactory> CampaignSession<F> {
         self.cancel.clone()
     }
 
-    /// Force sequential pair scheduling (parallel is the default; both give
-    /// bitwise-identical results).
+    /// Force sequential pair scheduling: every pair runs on the calling
+    /// thread, in canonical order. Both schedules give bitwise-identical
+    /// results.
+    ///
+    /// By default the work units run in parallel on the calling thread plus
+    /// whatever helper threads the process-wide budget of
+    /// `available_parallelism() − 1` has free (none inside an already
+    /// parallel fleet on a small host), so events of different pairs
+    /// interleave and observers are called from several threads at once.
     pub fn sequential(mut self, on: bool) -> Self {
         self.sequential = on;
         self
@@ -540,6 +547,13 @@ impl<F: PlatformFactory> CampaignSession<F> {
         for obs in &self.observers {
             obs.event(&event);
         }
+    }
+
+    fn emit_phase1_done(&self, phase1: &Phase1Result) {
+        self.emit(CampaignEvent::Phase1Done {
+            valid_pairs: phase1.valid_pairs.len(),
+            skipped_pairs: phase1.skipped_pairs.len(),
+        });
     }
 
     /// Validate a checkpoint against the configured campaign.
@@ -615,22 +629,24 @@ impl<F: PlatformFactory> CampaignSession<F> {
             self.check_checkpoint(cp)?;
         }
 
+        // Phase1Done goes out as soon as phase 1 is known, before the
+        // probe runs, so observers can time the two apart.
         let (phase1, probe) = match &self.checkpoint {
-            Some(cp) => (cp.phase1.clone(), cp.probe.clone()),
+            Some(cp) => {
+                self.emit_phase1_done(&cp.phase1);
+                (cp.phase1.clone(), cp.probe.clone())
+            }
             None => {
                 if self.cancel.is_cancelled() {
                     return Err(CoreError::Cancelled);
                 }
                 let mut p0 = self.factory.create(config.seed)?;
                 let phase1 = run_phase1(&mut p0, config)?;
+                self.emit_phase1_done(&phase1);
                 let probe = estimate_upper_bound(&mut p0, config, &phase1)?;
                 (phase1, probe)
             }
         };
-        self.emit(CampaignEvent::Phase1Done {
-            valid_pairs: phase1.valid_pairs.len(),
-            skipped_pairs: phase1.skipped_pairs.len(),
-        });
         self.emit(CampaignEvent::ProbeDone {
             max_latency_ms: probe.max_latency_ms,
         });
@@ -919,7 +935,7 @@ impl<F: PlatformFactory> CampaignSession<F> {
         let results: CoreResult<Vec<ShardResult>> = if self.sequential {
             plan.units().iter().map(run_one).collect()
         } else {
-            plan.units().par_iter().map(run_one).collect()
+            par_map(plan.units(), run_one).into_iter().collect()
         };
         let mut shard_results = results?;
         shard_results.push(ShardResult {
@@ -946,9 +962,15 @@ impl<F: PlatformFactory> CampaignSession<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::{Platform, SimPlatform};
+    use latest_clock_sync::{SyncConfig, SyncResult};
+    use latest_cuda_sim::TimerData;
     use latest_gpu_sim::devices;
+    use latest_gpu_sim::freq::FreqMhz;
     use latest_gpu_sim::transition::FixedTransition;
-    use latest_sim_clock::SimDuration;
+    use latest_gpu_sim::{KernelConfig, KernelId, ThrottleReasons};
+    use latest_sim_clock::{SimDuration, SimTime};
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
     fn small_campaign(seed: u64) -> CampaignConfig {
@@ -1138,5 +1160,114 @@ mod tests {
             .build();
         let err = CampaignSession::new(wider).resume_from(cp).run();
         assert!(matches!(err, Err(CoreError::CheckpointMismatch { .. })));
+    }
+
+    /// A [`SimPlatformFactory`] whose platforms count kernel launches into
+    /// one shared counter.
+    struct LaunchCounting {
+        inner: SimPlatformFactory,
+        launches: Arc<AtomicUsize>,
+    }
+
+    struct CountedPlatform {
+        inner: SimPlatform,
+        launches: Arc<AtomicUsize>,
+    }
+
+    impl PlatformFactory for LaunchCounting {
+        type Platform = CountedPlatform;
+
+        fn create(&self, seed: u64) -> CoreResult<CountedPlatform> {
+            Ok(CountedPlatform {
+                inner: self.inner.create(seed)?,
+                launches: self.launches.clone(),
+            })
+        }
+
+        fn device_name(&self) -> String {
+            self.inner.device_name()
+        }
+    }
+
+    impl Platform for CountedPlatform {
+        fn now(&self) -> SimTime {
+            self.inner.now()
+        }
+
+        fn sleep(&mut self, d: SimDuration) {
+            self.inner.sleep(d)
+        }
+
+        fn set_locked_clocks(&mut self, target: FreqMhz) -> CoreResult<FreqMhz> {
+            self.inner.set_locked_clocks(target)
+        }
+
+        fn reset_locked_clocks(&mut self) -> CoreResult<FreqMhz> {
+            self.inner.reset_locked_clocks()
+        }
+
+        fn current_clock(&mut self) -> FreqMhz {
+            self.inner.current_clock()
+        }
+
+        fn supported_clocks(&self) -> Vec<FreqMhz> {
+            self.inner.supported_clocks()
+        }
+
+        fn launch_benchmark(&mut self, config: KernelConfig) -> CoreResult<KernelId> {
+            self.launches.fetch_add(1, Ordering::SeqCst);
+            self.inner.launch_benchmark(config)
+        }
+
+        fn synchronize(&mut self) -> SimTime {
+            self.inner.synchronize()
+        }
+
+        fn collect_records(&mut self, id: KernelId) -> CoreResult<TimerData> {
+            self.inner.collect_records(id)
+        }
+
+        fn synchronize_timers(&mut self, config: &SyncConfig) -> SyncResult {
+            self.inner.synchronize_timers(config)
+        }
+
+        fn throttle_reasons(&mut self) -> ThrottleReasons {
+            self.inner.throttle_reasons()
+        }
+
+        fn temperature_c(&mut self) -> f64 {
+            self.inner.temperature_c()
+        }
+
+        fn device_name(&self) -> String {
+            self.inner.device_name()
+        }
+    }
+
+    #[test]
+    fn phase1_done_fires_before_the_probe_runs() {
+        let config = small_campaign(31);
+        let launches = Arc::new(AtomicUsize::new(0));
+        let factory = LaunchCounting {
+            inner: SimPlatformFactory::new(config.spec.clone()),
+            launches: launches.clone(),
+        };
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        let session = CampaignSession::with_factory(config, factory).observe(
+            move |e: &CampaignEvent| match e {
+                CampaignEvent::Phase1Done { .. } | CampaignEvent::ProbeDone { .. } => {
+                    log.lock().push(launches.load(Ordering::SeqCst));
+                }
+                _ => {}
+            },
+        );
+        session.prelude().unwrap();
+        let counts = seen.lock().clone();
+        assert_eq!(counts.len(), 2, "one Phase1Done and one ProbeDone");
+        assert!(
+            counts[0] < counts[1],
+            "the probe launches kernels after Phase1Done: {counts:?}"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Reproducibility: identical seeds must give bitwise-identical campaigns,
-//! regardless of rayon scheduling, session scheduling mode (sequential vs
-//! parallel), or a checkpoint/resume round-trip — and different seeds must
-//! differ.
+//! regardless of how the pairs are spread over threads (sequential vs the
+//! parallel executor), how they are partitioned into shards, or a
+//! checkpoint/resume round-trip — and different seeds must differ.
 
 use latest::core::{
     CampaignConfig, CampaignEvent, CampaignResult, CampaignSession, Latest, ShardResult,
@@ -19,12 +19,13 @@ fn config(seed: u64) -> CampaignConfig {
         .build()
 }
 
-fn run(seed: u64, threads: usize) -> CampaignResult {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .unwrap();
-    pool.install(|| Latest::new(config(seed)).run().expect("campaign"))
+/// One campaign, its pairs run either on the calling thread alone
+/// (`sequential`) or spread over every core the executor can use.
+fn run(seed: u64, sequential: bool) -> CampaignResult {
+    CampaignSession::new(config(seed))
+        .sequential(sequential)
+        .run()
+        .expect("campaign")
 }
 
 fn all_latencies(result: &CampaignResult) -> Vec<(u32, u32, Vec<u64>)> {
@@ -45,24 +46,24 @@ fn all_latencies(result: &CampaignResult) -> Vec<(u32, u32, Vec<u64>)> {
 
 #[test]
 fn identical_seeds_are_bitwise_identical() {
-    let a = run(77, 4);
-    let b = run(77, 4);
+    let a = run(77, false);
+    let b = run(77, false);
     assert_eq!(all_latencies(&a), all_latencies(&b));
 }
 
 #[test]
 fn scheduling_does_not_affect_results() {
-    // 1 worker vs many workers: per-pair platforms are seeded from
+    // One thread vs every core: per-pair platforms are seeded from
     // (campaign seed, pair), so the execution order cannot matter.
-    let serial = run(78, 1);
-    let parallel = run(78, 8);
+    let serial = run(78, true);
+    let parallel = run(78, false);
     assert_eq!(all_latencies(&serial), all_latencies(&parallel));
 }
 
 #[test]
 fn different_seeds_differ() {
-    let a = run(79, 4);
-    let b = run(80, 4);
+    let a = run(79, false);
+    let b = run(80, false);
     assert_ne!(all_latencies(&a), all_latencies(&b));
 }
 
@@ -71,8 +72,8 @@ fn filtered_summaries_are_identical_for_identical_seeds() {
     // Smoke test for the rand_chacha seeding path end to end: not just the
     // raw latencies but the post-analysis (DBSCAN-filtered) summaries must
     // be bitwise identical between two campaigns with the same seed.
-    let a = run(82, 4);
-    let b = run(82, 4);
+    let a = run(82, false);
+    let b = run(82, false);
     let summaries = |r: &CampaignResult| -> Vec<(u32, u32, u64, u64, u64, u64)> {
         r.pairs()
             .iter()
@@ -97,8 +98,8 @@ fn filtered_summaries_are_identical_for_identical_seeds() {
 
 #[test]
 fn phase1_characterisation_is_reproducible() {
-    let a = run(81, 2);
-    let b = run(81, 2);
+    let a = run(81, false);
+    let b = run(81, false);
     for (fa, fb) in a.phase1.freqs.values().zip(b.phase1.freqs.values()) {
         assert_eq!(fa.iter_ns.mean.to_bits(), fb.iter_ns.mean.to_bits());
         assert_eq!(fa.iter_ns.stdev.to_bits(), fb.iter_ns.stdev.to_bits());
@@ -110,7 +111,7 @@ fn phase1_characterisation_is_reproducible() {
 
 #[test]
 fn session_sequential_and_parallel_schedules_are_bitwise_identical() {
-    // The session schedules pairs either inline or through rayon; per-pair
+    // The session schedules pairs either inline or on the executor; per-pair
     // platform seeding makes the schedule invisible in the results.
     let sequential = CampaignSession::new(config(83))
         .sequential(true)
