@@ -1,136 +1,90 @@
-//! The scoped executor behind every in-process parallel loop: campaign
-//! pairs ([`CampaignSession::run`](crate::session::CampaignSession::run))
-//! and fleet members ([`Fleet::run`](crate::fleet::Fleet::run)).
+//! The scoped executor behind the campaign's in-process parallel loop: the
+//! work units of [`CampaignSession::run`](crate::session::CampaignSession::run).
 //!
-//! [`par_map`] runs a closure over a slice on the calling thread plus
-//! whatever helper threads the process-wide budget can spare, and returns
-//! the results in input order. Workers claim the next item from one shared
-//! atomic cursor, so coarse items of uneven cost (a pair takes 25–60
-//! measurements) balance without per-worker queues. The budget holds
-//! `available_parallelism() − 1` helper slots; a call takes only the slots
-//! that are free, so a call nested inside another (a fleet member running
-//! its pairs) never oversubscribes the cores and never blocks: with no
-//! helper free it simply runs inline.
+//! [`try_par_map`] runs a fallible closure over a slice on the calling
+//! thread plus one helper thread per further core (at most one per
+//! remaining item), and returns the results in input order. Workers claim
+//! the next item from one shared atomic cursor, so coarse items of uneven
+//! cost (a pair takes 25–60 measurements) balance without per-worker
+//! queues. Once an item fails, no worker claims another.
+//!
+//! Calls are not meant to nest: a call made from inside another call's
+//! closure spawns its own helpers on top of the outer ones. Fleet members
+//! therefore run one after another, each spreading its pairs over every
+//! core.
 
 use std::panic;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 
-/// A pool of helper-thread slots shared by every [`par_map`] call.
-struct Budget {
-    free: AtomicUsize,
-}
-
-impl Budget {
-    fn new(helpers: usize) -> Budget {
-        Budget {
-            free: AtomicUsize::new(helpers),
-        }
-    }
-
-    /// The process-wide budget: one slot per core besides the caller's.
-    fn global() -> &'static Budget {
-        static GLOBAL: OnceLock<Budget> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cores = thread::available_parallelism().map_or(1, |n| n.get());
-            Budget::new(cores - 1)
-        })
-    }
-
-    /// Take up to `want` free slots without waiting; the lease hands them
-    /// back when dropped, on unwinding too.
-    fn take(&self, want: usize) -> Lease<'_> {
-        // Relaxed: the count publishes no data; the scope's joins order
-        // the work itself.
-        let (Ok(free) | Err(free)) =
-            self.free
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |free| {
-                    Some(free - free.min(want))
-                });
-        Lease {
-            budget: self,
-            slots: free.min(want),
-        }
-    }
-}
-
-/// Helper slots held by one [`par_map`] call.
-struct Lease<'a> {
-    budget: &'a Budget,
-    slots: usize,
-}
-
-impl Drop for Lease<'_> {
-    fn drop(&mut self) {
-        self.budget.free.fetch_add(self.slots, Ordering::Relaxed);
-    }
-}
-
-/// Apply `f` to every item, in parallel where the process-wide thread
-/// budget allows, and return the results in input order.
+/// Apply `f` to every item, in parallel on every core, and return the
+/// results in input order, or the first error in input order.
 ///
-/// The calling thread always works; it is joined by as many helper threads
-/// as the budget has free (at most one per remaining item). Each item runs
-/// exactly once. A panic in `f` reaches the caller once every worker has
-/// stopped, and the helper slots are returned either way.
-pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    par_map_in(Budget::global(), items, f)
+/// The calling thread always works. Each item runs at most once; after an
+/// item fails, workers finish the item in hand and claim no more, so later
+/// items may never run. A panic in `f` reaches the caller once every
+/// worker has stopped.
+pub(crate) fn try_par_map<T: Sync, R: Send, E: Send>(
+    items: &[T],
+    f: impl Fn(&T) -> Result<R, E> + Sync,
+) -> Result<Vec<R>, E> {
+    let cores = thread::available_parallelism().map_or(1, |n| n.get());
+    try_par_map_with(cores - 1, items, f)
 }
 
-fn par_map_in<T: Sync, R: Send>(
-    budget: &Budget,
+/// [`try_par_map`] with an explicit number of helper threads.
+fn try_par_map_with<T: Sync, R: Send, E: Send>(
+    helpers: usize,
     items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let lease = budget.take(items.len().saturating_sub(1));
-    if lease.slots == 0 {
-        return items.iter().map(f).collect();
-    }
+    f: impl Fn(&T) -> Result<R, E> + Sync,
+) -> Result<Vec<R>, E> {
+    let helpers = helpers.min(items.len().saturating_sub(1));
     let cursor = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
     // Each worker keeps its own (index, result) list; the lists are merged
-    // into per-index slots once every worker has stopped.
+    // and sorted back into input order once every worker has stopped.
+    // Relaxed: the cursor and the flag only hand out indices and stop the
+    // claiming; results travel through the join.
     let work = || {
         let mut done = Vec::new();
-        loop {
-            // Relaxed: the cursor only hands out indices; results travel
-            // through the join.
+        while !failed.load(Ordering::Relaxed) {
             let index = cursor.fetch_add(1, Ordering::Relaxed);
             let Some(item) = items.get(index) else {
-                return done;
+                break;
             };
-            done.push((index, f(item)));
-        }
-    };
-    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    thread::scope(|scope| {
-        let helpers: Vec<_> = (0..lease.slots).map(|_| scope.spawn(work)).collect();
-        let mut finished = vec![work()];
-        for helper in helpers {
-            match helper.join() {
-                Ok(done) => finished.push(done),
-                Err(payload) => panic::resume_unwind(payload),
+            let result = f(item);
+            if result.is_err() {
+                failed.store(true, Ordering::Relaxed);
             }
+            done.push((index, result));
         }
-        for (index, result) in finished.into_iter().flatten() {
-            slots[index] = Some(result);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("the cursor hands every index to exactly one worker"))
-        .collect()
+        done
+    };
+    let mut done = if helpers == 0 {
+        work()
+    } else {
+        thread::scope(|scope| {
+            let helpers: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+            let mut done = work();
+            for helper in helpers {
+                match helper.join() {
+                    Ok(more) => done.extend(more),
+                    Err(payload) => panic::resume_unwind(payload),
+                }
+            }
+            done
+        })
+    };
+    // Without a failure every item ran; with one, collecting stops at the
+    // first error in input order.
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use std::time::{Duration, Instant};
-
-    fn cores() -> usize {
-        thread::available_parallelism().map_or(1, |n| n.get())
-    }
 
     /// Counts closures running at once and remembers the peak.
     #[derive(Default)]
@@ -164,11 +118,11 @@ mod tests {
         for len in [0usize, 1, 2, 1000] {
             let items: Vec<usize> = (0..len).collect();
             let runs: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-            let out = par_map(&items, |&i| {
+            let out = try_par_map(&items, |&i| {
                 runs[i].fetch_add(1, Ordering::SeqCst);
-                i * 3
+                Ok::<_, ()>(i * 3)
             });
-            assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
+            assert_eq!(out, Ok(items.iter().map(|i| i * 3).collect::<Vec<_>>()));
             assert!(
                 runs.iter().all(|r| r.load(Ordering::SeqCst) == 1),
                 "len {len}: every item must run exactly once"
@@ -178,57 +132,66 @@ mod tests {
 
     #[test]
     fn helpers_really_run_alongside_the_caller() {
-        // A private budget with one helper: two items must overlap, which
-        // a sequential loop could never achieve.
-        let budget = Budget::new(1);
+        // One helper: two items must overlap, which a sequential loop
+        // could never achieve.
         let gauge = Gauge::default();
-        par_map_in(&budget, &[0, 1], |_| {
+        let out = try_par_map_with(1, &[0, 1], |_| {
             gauge.enter();
             gauge.rendezvous(2);
             gauge.leave();
+            Ok::<_, ()>(())
         });
+        assert_eq!(out, Ok(vec![(), ()]));
         assert_eq!(gauge.peak.load(Ordering::SeqCst), 2);
-        assert_eq!(budget.free.load(Ordering::SeqCst), 1);
     }
 
     #[test]
-    fn nested_calls_never_oversubscribe_the_cores() {
-        // Through the process-wide budget, as fleet members running their
-        // pairs do: other tests may hold helpers meanwhile, which can only
-        // lower this call's parallelism.
-        let gauge = Gauge::default();
-        let outer: Vec<usize> = (0..4).collect();
-        let sums = par_map(&outer, |&o| {
-            let inner: Vec<usize> = (0..8).collect();
-            par_map(&inner, |&i| {
-                gauge.enter();
-                thread::yield_now();
-                gauge.leave();
-                o * 100 + i
-            })
-            .into_iter()
-            .sum::<usize>()
+    fn without_helpers_nothing_runs_after_the_first_error() {
+        let items: Vec<usize> = (0..10).collect();
+        let runs = AtomicUsize::new(0);
+        let out = try_par_map_with(0, &items, |&i| {
+            runs.fetch_add(1, Ordering::SeqCst);
+            if i == 3 {
+                Err(i)
+            } else {
+                Ok(i)
+            }
         });
-        assert_eq!(sums, vec![28, 828, 1628, 2428]);
-        let peak = gauge.peak.load(Ordering::SeqCst);
-        assert!(
-            (1..=cores()).contains(&peak),
-            "{peak} closures ran at once on {} cores",
-            cores()
-        );
+        assert_eq!(out, Err(3));
+        assert_eq!(runs.load(Ordering::SeqCst), 4);
     }
 
     #[test]
-    fn a_panic_reaches_the_caller_and_the_budget_is_whole_again() {
-        let budget = Budget::new(3);
+    fn an_error_stops_every_worker_claiming() {
+        // Every other item takes a millisecond, so running them all would
+        // take 250 ms on the four workers; the failure at item 3 stops the
+        // claiming long before that.
+        let items: Vec<usize> = (0..1000).collect();
+        let runs = AtomicUsize::new(0);
+        let out = try_par_map_with(3, &items, |&i| {
+            runs.fetch_add(1, Ordering::SeqCst);
+            if i == 3 {
+                return Err(i);
+            }
+            thread::sleep(Duration::from_millis(1));
+            Ok(i)
+        });
+        assert_eq!(out, Err(3));
+        let runs = runs.load(Ordering::SeqCst);
+        assert!(runs < items.len() / 2, "{runs} items ran after a failure");
+    }
+
+    #[test]
+    fn a_panic_reaches_the_caller() {
         let items: Vec<usize> = (0..16).collect();
         let others_ran = AtomicBool::new(false);
         let caught = panic::catch_unwind(panic::AssertUnwindSafe(|| {
-            par_map_in(&budget, &items, |&i| {
+            try_par_map_with(3, &items, |&i| {
                 if i == 7 {
                     panic!("item 7 failed");
                 }
                 others_ran.store(true, Ordering::SeqCst);
+                Ok::<_, ()>(())
             })
         }));
         let payload = caught.expect_err("the panic must propagate");
@@ -238,9 +201,5 @@ mod tests {
             .expect("the original payload is preserved");
         assert_eq!(message, "item 7 failed");
         assert!(others_ran.load(Ordering::SeqCst));
-        assert_eq!(budget.free.load(Ordering::SeqCst), 3);
-        // And the budget still serves a full call afterwards.
-        assert_eq!(par_map_in(&budget, &items, |&i| i).len(), 16);
-        assert_eq!(budget.free.load(Ordering::SeqCst), 3);
     }
 }

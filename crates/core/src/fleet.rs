@@ -20,7 +20,6 @@ use latest_gpu_sim::devices::DeviceSpec;
 use crate::campaign::CampaignResult;
 use crate::config::CampaignConfig;
 use crate::error::{CoreError, CoreResult};
-use crate::exec::par_map;
 use crate::session::{CampaignEvent, CampaignSession, CancelToken};
 
 /// Observer hook for fleet-wide progress: every member session's event,
@@ -88,7 +87,8 @@ impl Fleet {
         self.cancel.clone()
     }
 
-    /// Force sequential scheduling (members and their pairs).
+    /// Force sequential pair scheduling in every member (members always
+    /// run one after another).
     pub fn sequential(mut self, on: bool) -> Self {
         self.sequential = on;
         self
@@ -127,12 +127,10 @@ impl Fleet {
 
     /// Run every member campaign and aggregate per-device results.
     ///
-    /// Members run in parallel, each internally parallel over its pairs,
-    /// and all of them share one process-wide budget of
-    /// `available_parallelism() − 1` helper threads besides the caller's:
-    /// nesting never oversubscribes the cores. Events of different members
-    /// and pairs therefore interleave, and observers are called from
-    /// several threads at once. The per-device seeding makes the outcome
+    /// Members run one after another, each spreading its pairs over every
+    /// core (see [`CampaignSession::sequential`]): events of one member's
+    /// pairs therefore interleave, and observers are called from several
+    /// threads at once. The per-device seeding makes the outcome
     /// independent of scheduling.
     ///
     /// A shared-token cancellation that lands before a member even starts
@@ -140,7 +138,7 @@ impl Fleet {
     /// than failing the whole fleet.
     pub fn run(&self) -> CoreResult<FleetResult> {
         let run_one =
-            |&(slot, config): &(usize, &CampaignConfig)| -> CoreResult<Option<CampaignResult>> {
+            |(slot, config): (usize, &CampaignConfig)| -> CoreResult<Option<CampaignResult>> {
                 let mut session = CampaignSession::new(config.clone())
                     .with_adaptive(self.adaptive)
                     .with_cancel_token(self.cancel.clone())
@@ -159,12 +157,8 @@ impl Fleet {
                     Err(e) => Err(e),
                 }
             };
-        let slots: Vec<(usize, &CampaignConfig)> = self.members.iter().enumerate().collect();
-        let outcomes: CoreResult<Vec<Option<CampaignResult>>> = if self.sequential {
-            slots.iter().map(run_one).collect()
-        } else {
-            par_map(&slots, run_one).into_iter().collect()
-        };
+        let outcomes: CoreResult<Vec<Option<CampaignResult>>> =
+            self.members.iter().enumerate().map(run_one).collect();
         let mut devices = Vec::new();
         let mut unstarted = Vec::new();
         for (slot, outcome) in outcomes?.into_iter().enumerate() {

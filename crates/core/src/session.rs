@@ -36,7 +36,7 @@ use crate::campaign::{CampaignResult, PairMeasurement};
 use crate::config::CampaignConfig;
 use crate::controller::{run_pair, PairOutcome};
 use crate::error::{CoreError, CoreResult};
-use crate::exec::par_map;
+use crate::exec::try_par_map;
 use crate::phase1::{run_phase1, Phase1Result};
 use crate::platform::{PlatformFactory, SimPlatformFactory};
 use crate::probe::{estimate_upper_bound, ProbeResult};
@@ -499,10 +499,9 @@ impl<F: PlatformFactory> CampaignSession<F> {
     /// results.
     ///
     /// By default the work units run in parallel on the calling thread plus
-    /// whatever helper threads the process-wide budget of
-    /// `available_parallelism() − 1` has free (none inside an already
-    /// parallel fleet on a small host), so events of different pairs
-    /// interleave and observers are called from several threads at once.
+    /// `available_parallelism() − 1` helper threads, so events of different
+    /// pairs interleave and observers are called from several threads at
+    /// once. After a unit fails, no further unit starts.
     pub fn sequential(mut self, on: bool) -> Self {
         self.sequential = on;
         self
@@ -935,7 +934,7 @@ impl<F: PlatformFactory> CampaignSession<F> {
         let results: CoreResult<Vec<ShardResult>> = if self.sequential {
             plan.units().iter().map(run_one).collect()
         } else {
-            par_map(plan.units(), run_one).into_iter().collect()
+            try_par_map(plan.units(), run_one)
         };
         let mut shard_results = results?;
         shard_results.push(ShardResult {
@@ -1269,5 +1268,63 @@ mod tests {
             counts[0] < counts[1],
             "the probe launches kernels after Phase1Done: {counts:?}"
         );
+    }
+
+    /// Refuses to build the platform of one pair.
+    struct FailingSeed {
+        inner: SimPlatformFactory,
+        seed: u64,
+    }
+
+    impl PlatformFactory for FailingSeed {
+        type Platform = SimPlatform;
+
+        fn create(&self, seed: u64) -> CoreResult<SimPlatform> {
+            if seed == self.seed {
+                return Err(CoreError::MemoryClocksUnsupported);
+            }
+            self.inner.create(seed)
+        }
+
+        fn device_name(&self) -> String {
+            self.inner.device_name()
+        }
+    }
+
+    #[test]
+    fn a_failing_pair_stops_further_pairs_from_starting() {
+        let mut config = small_campaign(32);
+        config.frequencies = [705, 900, 1200, 1410].map(FreqMhz).to_vec();
+        let pairs = config.ordered_state_pairs();
+        let (init, target) = pairs[0];
+        let bad = config.state_pair_seed(init, target);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for sequential in [true, false] {
+            let factory = FailingSeed {
+                inner: SimPlatformFactory::new(config.spec.clone()),
+                seed: bad,
+            };
+            let started = Arc::new(AtomicUsize::new(0));
+            let count = started.clone();
+            let session = CampaignSession::with_factory(config.clone(), factory)
+                .sequential(sequential)
+                .observe(move |e: &CampaignEvent| {
+                    if matches!(e, CampaignEvent::PairStarted { .. }) {
+                        count.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            let outcome = session.run();
+            assert!(matches!(outcome, Err(CoreError::MemoryClocksUnsupported)));
+            // The failing pair comes first: sequentially nothing follows
+            // it; in parallel each other worker finishes at most the pair
+            // in hand and one claimed in the same instant.
+            let started = started.load(Ordering::SeqCst);
+            let bound = if sequential { 1 } else { 2 * cores - 1 };
+            assert!(
+                started <= bound.min(pairs.len()),
+                "sequential {sequential}: {started} of {} pairs started",
+                pairs.len()
+            );
+        }
     }
 }
