@@ -35,6 +35,10 @@
 //!   under content-addressed [`RunId`]s with the effective spec and
 //!   provenance, so experiments accumulate into a queryable corpus instead
 //!   of evaporating.
+//! * **Settle log** ([`settle_log`]) — the append-only per-campaign
+//!   checkpoint: a header, then one checksummed line per settled pair,
+//!   replayed to resume; [`durable`] holds the one atomic-write primitive
+//!   every persisted file goes through.
 //! * **View** ([`view`]) — typed query views over results:
 //!   [`LatencyView`]/[`PairView`] filter by frequency pair, direction,
 //!   outcome and percentile band, replacing ad-hoc pair iteration in every
@@ -59,6 +63,7 @@ pub mod analysis;
 pub mod campaign;
 pub mod config;
 pub mod controller;
+pub mod durable;
 pub mod error;
 mod exec;
 pub mod fleet;
@@ -69,6 +74,7 @@ pub mod phase3;
 pub mod platform;
 pub mod probe;
 pub mod session;
+pub mod settle_log;
 pub mod spec;
 pub mod state;
 pub mod store;

@@ -423,9 +423,8 @@ impl ShardPlan {
     }
 }
 
-/// Receives periodic partial-result snapshots; see
-/// [`CampaignSession::checkpoint_to`].
-type CheckpointSink = Arc<dyn Fn(&CampaignResult) + Send + Sync>;
+/// Receives every freshly settled pair; see [`CampaignSession::on_settle`].
+type SettleHook = Arc<dyn Fn(&CampaignResult, usize, &PairMeasurement) + Send + Sync>;
 
 /// The streaming campaign engine. See the [module docs](self) for the tour.
 pub struct CampaignSession<F: PlatformFactory = SimPlatformFactory> {
@@ -436,8 +435,7 @@ pub struct CampaignSession<F: PlatformFactory = SimPlatformFactory> {
     cancel: CancelToken,
     sequential: bool,
     checkpoint: Option<CampaignResult>,
-    checkpoint_every: usize,
-    checkpoint_sink: Option<CheckpointSink>,
+    settle_hook: Option<SettleHook>,
 }
 
 impl CampaignSession<SimPlatformFactory> {
@@ -459,8 +457,7 @@ impl<F: PlatformFactory> CampaignSession<F> {
             cancel: CancelToken::new(),
             sequential: false,
             checkpoint: None,
-            checkpoint_every: 0,
-            checkpoint_sink: None,
+            settle_hook: None,
         }
     }
 
@@ -507,22 +504,25 @@ impl<F: PlatformFactory> CampaignSession<F> {
         self
     }
 
-    /// Stream resumable checkpoints while the campaign runs: after every
-    /// `every` settled pairs (and once more when the last pair settles),
-    /// `sink` receives a partial [`CampaignResult`] whose unmeasured pairs
-    /// are recorded as [`PairOutcome::Cancelled`] — exactly the shape
-    /// [`CampaignSession::resume_from`] accepts, so persisting each
-    /// snapshot gives crash recovery for free.
+    /// Call `hook(header, index, measurement)` for every pair the run
+    /// measures, right after it settles and before its worker starts the
+    /// next pair. Pairs restored through [`CampaignSession::resume_from`]
+    /// and pairs skipped by cancellation are not reported.
     ///
-    /// The sink is called from worker threads (serialised by an internal
-    /// lock) and must not assume any particular pair order.
-    pub fn checkpoint_to(
+    /// `header` is the campaign with phase 1 and the probe filled in and
+    /// every pair [`PairOutcome::Cancelled`]; folding the reported pairs
+    /// into it at their canonical `index` gives the partial result
+    /// [`CampaignSession::resume_from`] accepts. That is what a
+    /// [`SettleLog`](crate::settle_log::SettleLog) persists, one line per
+    /// call.
+    ///
+    /// The hook is called from worker threads, possibly several at once,
+    /// in no particular pair order.
+    pub fn on_settle(
         mut self,
-        every: usize,
-        sink: impl Fn(&CampaignResult) + Send + Sync + 'static,
+        hook: impl Fn(&CampaignResult, usize, &PairMeasurement) + Send + Sync + 'static,
     ) -> Self {
-        self.checkpoint_every = every.max(1);
-        self.checkpoint_sink = Some(Arc::new(sink));
+        self.settle_hook = Some(Arc::new(hook));
         self
     }
 
@@ -888,30 +888,16 @@ impl<F: PlatformFactory> CampaignSession<F> {
     }
 
     fn run_plan(&self, shards: Option<usize>) -> CoreResult<CampaignResult> {
-        let ordered = self.config.ordered_state_pairs();
         let prelude = self.prelude()?;
 
-        // Periodic checkpointing: settled pairs are recorded slot-wise so a
-        // snapshot can stand Cancelled placeholders in for pairs still
-        // running — giving the sink exactly the resumable partial-result
-        // shape `resume_from` validates.
-        let snapshot_slots: Mutex<Vec<Option<PairMeasurement>>> =
-            Mutex::new(vec![None; ordered.len()]);
+        // The settle hook's header: built once, handed out by reference.
+        let header = self
+            .settle_hook
+            .as_ref()
+            .map(|_| self.merge_shards(&prelude, Vec::new()));
         let settle = |index: usize, meas: &PairMeasurement| {
-            let Some(sink) = &self.checkpoint_sink else {
-                return;
-            };
-            let mut slots = snapshot_slots.lock();
-            slots[index] = Some(meas.clone());
-            let settled = slots.iter().filter(|s| s.is_some()).count();
-            if settled % self.checkpoint_every == 0 || settled == slots.len() {
-                let pairs = slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.clone().map(|m| (i, m)))
-                    .collect();
-                let snapshot = self.merge_shards(&prelude, vec![ShardResult { shard: 0, pairs }]);
-                sink(&snapshot);
+            if let (Some(hook), Some(header)) = (&self.settle_hook, &header) {
+                hook(header, index, meas);
             }
         };
 
@@ -924,7 +910,6 @@ impl<F: PlatformFactory> CampaignSession<F> {
                 init: meas.init,
                 target: meas.target,
             });
-            settle(index, meas);
         }
 
         // Without an explicit shard count, every pair is its own unit —
@@ -1093,23 +1078,46 @@ mod tests {
 
     #[test]
     fn periodic_checkpoints_are_resumable_and_converge() {
-        let snapshots: Arc<Mutex<Vec<CampaignResult>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = snapshots.clone();
+        let settled: Arc<Mutex<Vec<(CampaignResult, usize, PairMeasurement)>>> =
+            Arc::new(Mutex::new(Vec::new()));
+        let sink = settled.clone();
         let full = CampaignSession::new(small_campaign(30))
             .sequential(true)
-            .checkpoint_to(1, move |cp: &CampaignResult| sink.lock().push(cp.clone()))
+            .on_settle(move |header, index, meas| {
+                sink.lock().push((header.clone(), index, meas.clone()))
+            })
             .run()
             .unwrap();
 
-        let snaps = snapshots.lock();
-        // Two pairs, every = 1: one snapshot per settled pair.
-        assert_eq!(snaps.len(), 2);
-        assert!(snaps[0].is_partial(), "first snapshot must be partial");
-        assert!(!snaps[1].is_partial(), "last snapshot must be complete");
+        let settled = settled.lock();
+        // Two pairs: one call per settled pair, each with the same header.
+        assert_eq!(settled.len(), 2);
+        let header = &settled[0].0;
+        assert!(header.pairs().iter().all(|p| p.outcome.is_cancelled()));
+        assert_eq!(header.to_json(), settled[1].0.to_json());
+        let fold = |upto: usize| {
+            let pairs = settled[..upto]
+                .iter()
+                .map(|(_, i, m)| (*i, m.clone()))
+                .collect();
+            let ordered: Vec<_> = header.pairs().iter().map(|p| (p.init, p.target)).collect();
+            CampaignResult::merge(
+                header.device_name.clone(),
+                header.device_index,
+                header.seed,
+                header.phase1.clone(),
+                header.probe.clone(),
+                &ordered,
+                vec![ShardResult { shard: 0, pairs }],
+            )
+        };
+        assert!(fold(1).is_partial(), "first checkpoint must be partial");
+        assert!(!fold(2).is_partial(), "last checkpoint must be complete");
 
-        // A mid-run snapshot round-trips through JSON (as a process restart
-        // would) and resumes to the uninterrupted result, bit for bit.
-        let cp = CampaignResult::from_json(&snaps[0].to_json()).unwrap();
+        // The header plus the first settled pair round-trips through JSON
+        // (as a process restart would) and resumes to the uninterrupted
+        // result, bit for bit.
+        let cp = CampaignResult::from_json(&fold(1).to_json()).unwrap();
         let resumed = CampaignSession::new(small_campaign(30))
             .sequential(true)
             .resume_from(cp)
@@ -1120,10 +1128,8 @@ mod tests {
                 |xs: Option<&[f64]>| xs.map(|v| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>());
             assert_eq!(bits(a.latencies_ms()), bits(b.latencies_ms()));
         }
-        // And the final snapshot IS the final result.
-        for (a, b) in full.pairs().iter().zip(snaps[1].pairs()) {
-            assert_eq!(a.latencies_ms(), b.latencies_ms());
-        }
+        // And folding every settled pair IS the final result.
+        assert_eq!(fold(2).to_json(), full.to_json());
     }
 
     #[test]

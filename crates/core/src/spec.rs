@@ -793,8 +793,12 @@ impl serde::Deserialize for ScenarioSpec {
     }
 }
 
-/// The `latest run --checkpoint` file format: the *effective spec* stored
-/// alongside the partial [`CampaignResult`](crate::campaign::CampaignResult).
+/// A resumable checkpoint: the *effective spec* stored alongside the
+/// partial [`CampaignResult`](crate::campaign::CampaignResult). It is the
+/// header line of every [`SettleLog`](crate::settle_log::SettleLog) (the
+/// `latest run --checkpoint` file and the queue's per-member logs), and
+/// what [`SettleLog::replay`](crate::settle_log::SettleLog::replay)
+/// returns.
 ///
 /// The session's own resume validation compares device, seed and pair set
 /// — it cannot see knobs the result does not record (measurement bounds,
@@ -810,32 +814,14 @@ pub struct SpecCheckpoint {
 }
 
 impl SpecCheckpoint {
-    /// Serialise to pretty JSON (the checkpoint-file format).
+    /// Serialise to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("spec checkpoint serialises")
     }
 
-    /// Parse a checkpoint file back from JSON.
+    /// Parse a checkpoint back from JSON (pretty or compact).
     pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(text)
-    }
-
-    /// Write the checkpoint to `path` atomically (write-to-temp +
-    /// rename), so a crash mid-write can never corrupt an existing
-    /// checkpoint. The single checkpoint-persistence path shared by
-    /// `latest run --checkpoint` and the queue service's worker pool.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Read a checkpoint file back; a parse failure surfaces as
-    /// [`std::io::ErrorKind::InvalidData`].
-    pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_json(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 }
 

@@ -37,6 +37,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::campaign::CampaignResult;
+use crate::durable::write_atomic;
 use crate::spec::{CampaignSpec, FleetSpec};
 
 /// Content-addressed identity of an archived run: a stable hash of the
@@ -123,7 +124,7 @@ pub fn content_hash128(bytes: &[u8]) -> (u64, u64) {
     )
 }
 
-fn fnv1a64(bytes: &[u8], offset_basis: u64) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8], offset_basis: u64) -> u64 {
     let mut hash = offset_basis;
     for &b in bytes {
         hash ^= b as u64;
@@ -344,11 +345,8 @@ impl ResultStore {
         };
         let path = self.path_of(&run_id);
         let json = serde_json::to_string_pretty(&doc).expect("stored run serialises");
-        // Atomic write: a crash mid-write must not corrupt an existing
-        // entry.
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, &json)?;
-        fs::rename(&tmp, &path)?;
+        // A crash mid-write must not corrupt an existing entry.
+        write_atomic(&path, json.as_bytes())?;
         Ok(run_id)
     }
 

@@ -152,9 +152,10 @@ impl std::fmt::Display for JobState {
     }
 }
 
-/// Shard-level progress of one member campaign, journaled while the job
-/// runs so `queue status` (and a post-crash inspection) can see how far
-/// execution got without parsing checkpoints.
+/// Shard-level progress of one member campaign, journaled at member setup
+/// and on requeue. `queue status` replaces `pairs_done` with the live
+/// count from the member's settle log
+/// ([`JobQueue::live_ledger`](crate::JobQueue::live_ledger)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct MemberLedger {
     /// Pairs settled (measured, skipped or restored from checkpoint).
@@ -168,10 +169,9 @@ pub struct MemberLedger {
 }
 
 /// The job's shard ledger: one [`MemberLedger`] per member, in slot
-/// order. Journaled on every shard completion, so recovery knows exactly
-/// which fraction of the job survives in checkpoints — a requeued job
-/// re-executes only its unfinished shards (the checkpoint restores the
-/// finished ones verbatim).
+/// order. A requeued job carries the ledger of its last run, so an
+/// operator sees how much of the resume is already banked; the settle logs
+/// restore those pairs verbatim and only the rest re-executes.
 #[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ShardLedger {
     /// Per-member progress, in slot order.

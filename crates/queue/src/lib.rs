@@ -17,10 +17,10 @@
 //!   decomposes into [`WorkUnit`](latest_core::WorkUnit) pair-shards that
 //!   spread across every worker thread, with per-job
 //!   [`CancelToken`](latest_core::CancelToken)s, a journaled
-//!   [`ShardLedger`] of in-flight progress and periodic resumable
-//!   checkpoints: a killed service requeues its in-flight jobs on restart
-//!   and resumes each from its checkpoint — even mid-shard — bitwise
-//!   identical to an uninterrupted run.
+//!   [`ShardLedger`] of in-flight progress and a per-member append-only
+//!   settle log (one line per settled pair): a killed service requeues its
+//!   in-flight jobs on restart and resumes each from its logs — even
+//!   mid-shard — bitwise identical to an uninterrupted run.
 //! * **Result cache** — before executing, a job consults the
 //!   [`ResultStore`](latest_core::ResultStore): an archived run of the
 //!   identical spec is served without recomputation (unless the job was

@@ -19,10 +19,11 @@
 //!    through the member's [`CampaignSession`]. Per-pair platforms are
 //!    seeded from the campaign seed and the pair alone, so the
 //!    interleaving of shards across workers is invisible in the results:
-//!    the merged output is bitwise identical to a sequential run. Settled
-//!    pairs fold into a per-member [`SpecCheckpoint`] (atomic
-//!    write-to-temp + rename), and the shard ledger on the job's journal
-//!    entry tracks pair/shard progress for `queue status`.
+//!    the merged output is bitwise identical to a sequential run. Each
+//!    settled pair appends one line to the member's [`SettleLog`]; the log
+//!    is fsynced every [`PoolConfig::checkpoint_every`] pairs. The shard
+//!    ledger on the job's journal entry is written at member setup and on
+//!    requeue; `queue status` reads live pair progress from the logs.
 //! 4. **Archive** — when a job's last shard settles, the finishing worker
 //!    merges the slots back into canonical pair order, archives each
 //!    member result into the [`ResultStore`], and settles the job.
@@ -31,10 +32,10 @@
 //!    execution.
 //!
 //! Shutdown ([`WorkerPool::shutdown_token`]) cancels every in-flight
-//! session; their partial results are checkpointed and the jobs revert to
+//! session; their settle logs are fsynced and the jobs revert to
 //! `Queued`, so a restarted service resumes each one from where the last
-//! run stopped — even mid-shard, the crash-recovery path and the
-//! graceful-shutdown path are the same code.
+//! run stopped — even mid-shard. A killed service loses at most the pair
+//! line being written: the crash-recovery path replays the same logs.
 //!
 //! Every stage of this path is timed into per-worker lock-free latency
 //! recorders ([`latest_telemetry`]): queue wait, claim-to-start, shard
@@ -56,9 +57,11 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::Duration;
 
+use latest_core::durable::write_atomic;
 use latest_core::session::{
     CampaignEvent, CampaignPrelude, CampaignSession, CancelToken, ShardResult, WorkUnit,
 };
+use latest_core::settle_log::SettleLog;
 use latest_core::spec::{CampaignSpec, SpecCheckpoint};
 use latest_core::store::{ResultStore, RunId, StoreError};
 use latest_core::{CoreError, PairMeasurement, PairOutcome};
@@ -75,7 +78,9 @@ use crate::queue::JobQueue;
 pub struct PoolConfig {
     /// Number of worker threads (at least 1).
     pub workers: usize,
-    /// Pairs between resumable checkpoint snapshots.
+    /// Settled pairs between fsyncs of a member's settle log. Every pair
+    /// is appended to the log as it settles, so a killed process loses
+    /// none; this bounds what a power loss can take back.
     pub checkpoint_every: usize,
     /// How long an idle worker sleeps before re-polling the journal.
     pub poll_interval: Duration,
@@ -288,6 +293,24 @@ impl JobRun {
             .expect("failure slot poisoned")
             .is_some()
     }
+
+    /// The job's shard ledger: pair/shard progress per member.
+    fn ledger(&self) -> ShardLedger {
+        let members = self
+            .members
+            .iter()
+            .map(|slot| match slot.get() {
+                Some(Some(mr)) => MemberLedger {
+                    pairs_done: mr.settled.load(Ordering::SeqCst),
+                    pairs_total: mr.pairs_total,
+                    shards_done: mr.shards_done.load(Ordering::SeqCst),
+                    shards_total: mr.shards_total,
+                },
+                _ => MemberLedger::default(),
+            })
+            .collect();
+        ShardLedger { members }
+    }
 }
 
 /// One member campaign of an in-flight job: its session (shared by every
@@ -296,11 +319,15 @@ struct MemberRun {
     spec: CampaignSpec,
     session: CampaignSession,
     prelude: CampaignPrelude,
-    ckpt_path: PathBuf,
+    /// One line per settled pair, appended from the settle hook.
+    log: SettleLog,
+    pairs_total: usize,
+    /// Pairs settled so far, restored ones included.
+    settled: AtomicUsize,
     shards_total: usize,
     shards_done: AtomicUsize,
-    /// Canonical-order result slots; `Some` once the pair settled (or was
-    /// restored from a checkpoint).
+    /// Canonical-order result slots; `Some` once the pair's shard finished
+    /// (or the pair was restored from the settle log).
     slots: StdMutex<Vec<Option<PairMeasurement>>>,
 }
 
@@ -547,13 +574,10 @@ impl WorkerPool {
     }
 
     /// Persist the drain's telemetry snapshot next to the journal
-    /// (`<dir>/telemetry.json`, atomic write-to-temp + rename) so `queue
+    /// (`<dir>/telemetry.json`, via [`write_atomic`]) so `queue
     /// status`/`queue stats` can report service latency after the fact.
     fn persist_telemetry(&self, snapshot: &TelemetrySnapshot) -> QueueResult<()> {
-        let path = self.queue.telemetry_path();
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, snapshot.to_json())?;
-        fs::rename(&tmp, &path)?;
+        write_atomic(&self.queue.telemetry_path(), snapshot.to_json().as_bytes())?;
         Ok(())
     }
 
@@ -757,7 +781,7 @@ impl WorkerPool {
             let job = run.job.lock().expect("job slot poisoned");
             (job.id, job.members()[member].clone())
         };
-        match self.build_member(job_id, member, &spec, run) {
+        match self.build_member(job_id, member, &spec, run)? {
             Ok(Some(mut mr)) => {
                 // Claim-to-start: claim to "this member is ready to
                 // measure" (spec resolution, checkpoint restore, prelude).
@@ -793,7 +817,7 @@ impl WorkerPool {
                 };
                 mr.shards_total = units.len();
                 let _ = run.members[member].set(Some(mr));
-                self.update_ledger(run)?;
+                self.journal_ledger(run)?;
                 if units.is_empty() {
                     // Fully restored from the checkpoint: nothing to run.
                     return self.complete_task(run);
@@ -827,34 +851,37 @@ impl WorkerPool {
     }
 
     /// Resolve one member spec into a ready-to-shard [`MemberRun`],
-    /// resuming from its checkpoint when one matches. `Ok(None)` means
-    /// cancelled during the prelude.
+    /// resuming from its settle log when one matches. `Ok(None)` means
+    /// cancelled during the prelude; the inner `Err` fails the job, the
+    /// outer one (an I/O error starting the log) the drain.
     fn build_member(
         &self,
         job_id: JobId,
         member: usize,
         spec: &CampaignSpec,
         run: &Arc<JobRun>,
-    ) -> Result<Option<MemberRun>, String> {
-        let config = spec
-            .resolve()
-            .map_err(|e| format!("member {member}: {e}"))?;
-        let total = config.ordered_state_pairs().len();
-        let ckpt_path = self.queue.checkpoint_path(job_id, member);
+    ) -> QueueResult<Result<Option<MemberRun>, String>> {
+        let config = match spec.resolve() {
+            Ok(config) => config,
+            Err(e) => return Ok(Err(format!("member {member}: {e}"))),
+        };
+        let pairs_total = config.ordered_state_pairs().len();
+        let log_path = self.queue.checkpoint_path(job_id, member);
 
         let mut session = CampaignSession::new(config).with_cancel_token(run.token.clone());
 
-        // Resume: a checkpoint taken under the identical spec restores its
+        // Resume: a log started under the identical spec restores its
         // settled pairs verbatim; anything unreadable or mismatched is
         // discarded (the job file is the source of truth for the spec).
-        if ckpt_path.is_file() {
-            let restored = SpecCheckpoint::load(&ckpt_path)
-                .ok()
-                .filter(|cp| &cp.spec == spec);
-            match restored {
-                Some(cp) => session = session.resume_from(cp.result),
-                None => {
-                    let _ = fs::remove_file(&ckpt_path);
+        let mut log = None;
+        if log_path.is_file() {
+            match SettleLog::replay(&log_path) {
+                Ok((cp, replayed)) if &cp.spec == spec => {
+                    session = session.resume_from(cp.result);
+                    log = Some(replayed);
+                }
+                _ => {
+                    let _ = fs::remove_file(&log_path);
                 }
             }
         }
@@ -882,27 +909,42 @@ impl WorkerPool {
 
         let prelude = match session.prelude() {
             Ok(prelude) => prelude,
-            Err(CoreError::Cancelled) => return Ok(None),
-            Err(e) => return Err(format!("member {member}: {e}")),
+            Err(CoreError::Cancelled) => return Ok(Ok(None)),
+            Err(e) => return Ok(Err(format!("member {member}: {e}"))),
+        };
+        let log = match log {
+            Some(log) => log,
+            None => {
+                let header = SpecCheckpoint {
+                    spec: spec.clone(),
+                    result: session.merge_shards(&prelude, Vec::new()),
+                };
+                SettleLog::create(&log_path, &header)?
+            }
         };
 
-        let mut slots = vec![None; total];
+        let mut slots = vec![None; pairs_total];
+        let mut restored = 0;
         for (index, meas) in session.restored_pairs() {
             slots[index] = Some(meas);
+            restored += 1;
         }
-        Ok(Some(MemberRun {
+        Ok(Ok(Some(MemberRun {
             spec: spec.clone(),
             session,
             prelude,
-            ckpt_path,
+            log,
+            pairs_total,
+            settled: AtomicUsize::new(restored),
             shards_total: 0,
             shards_done: AtomicUsize::new(0),
             slots: StdMutex::new(slots),
-        }))
+        })))
     }
 
-    /// Execute one shard work unit; settled pairs fold into the member's
-    /// checkpoint, which doubles as the busy pool's cancellation poll.
+    /// Execute one shard work unit. Each settled pair appends one line to
+    /// the member's settle log; every `checkpoint_every` pairs the log is
+    /// fsynced, which doubles as the busy pool's cancellation poll.
     fn run_shard(&self, run: &Arc<JobRun>, member: usize, unit: &WorkUnit) -> QueueResult<()> {
         if run.failed() || self.shutdown.is_cancelled() || run.token.is_cancelled() {
             return self.complete_task(run);
@@ -914,34 +956,39 @@ impl WorkerPool {
         };
         let job_id = run.job.lock().expect("job slot poisoned").id;
 
-        // The settle hook cannot return an error: the first failed
-        // checkpoint write is kept and surfaced once the shard returns.
-        let ckpt_error = std::cell::RefCell::new(None);
+        // The settle hook cannot return an error: the first failed log
+        // write is kept and surfaced once the shard returns.
+        let log_error = std::cell::RefCell::new(None);
         let on_settle = |index: usize, meas: &PairMeasurement| {
             // The session already spooled this pair's events (its
             // `PairFinished` is emitted before this hook runs): deliver
             // them now, so watchers still see pair-granular progress.
             self.flush_events();
-            let mut slots = mr.slots.lock().expect("member slots poisoned");
-            slots[index] = Some(meas.clone());
-            let settled = slots.iter().filter(|s| s.is_some()).count();
-            if settled % self.config.checkpoint_every == 0 || settled == slots.len() {
-                if let Err(e) = self.write_checkpoint(mr, &slots) {
-                    ckpt_error.borrow_mut().get_or_insert(e);
-                }
-                // The settle hook doubles as the busy pool's cancellation
-                // poll: markers and shutdown are honoured at the next
-                // checkpoint boundary even when no worker is idle.
-                if self.shutdown.is_cancelled() || self.queue.cancel_requested(job_id) {
-                    run.token.cancel();
-                }
+            let start = self.now_ns();
+            // Append before counting: a count that reaches a durable
+            // point covers lines every thread has already written.
+            let mut written = mr.log.append(index, meas);
+            let settled = mr.settled.fetch_add(1, Ordering::SeqCst) + 1;
+            let durable = settled % self.config.checkpoint_every == 0 || settled == mr.pairs_total;
+            if durable {
+                written = written.and_then(|()| mr.log.flush());
+            }
+            self.record(Stage::CheckpointStall, self.now_ns().saturating_sub(start));
+            if let Err(e) = written {
+                log_error.borrow_mut().get_or_insert(e);
+            }
+            // The settle hook doubles as the busy pool's cancellation
+            // poll: markers and shutdown are honoured at the next durable
+            // point even when no worker is idle.
+            if durable && (self.shutdown.is_cancelled() || self.queue.cancel_requested(job_id)) {
+                run.token.cancel();
             }
         };
 
         let exec_start = self.now_ns();
         let outcome = mr.session.run_unit_with(&mr.prelude, unit, on_settle);
         self.record(Stage::ShardExec, self.now_ns().saturating_sub(exec_start));
-        if let Some(e) = ckpt_error.into_inner() {
+        if let Some(e) = log_error.into_inner() {
             return Err(e.into());
         }
         match outcome {
@@ -957,11 +1004,12 @@ impl WorkerPool {
                     stats.pairs_measured += measured;
                     drop(stats);
                     mr.shards_done.fetch_add(1, Ordering::SeqCst);
-                    {
-                        let slots = mr.slots.lock().expect("member slots poisoned");
-                        self.write_checkpoint(mr, &slots)?;
+                }
+                let mut slots = mr.slots.lock().expect("member slots poisoned");
+                for (index, meas) in shard.pairs {
+                    if !meas.outcome.is_cancelled() {
+                        slots[index] = Some(meas);
                     }
-                    self.update_ledger(run)?;
                 }
             }
             Err(CoreError::Cancelled) => {}
@@ -970,55 +1018,13 @@ impl WorkerPool {
         self.complete_task(run)
     }
 
-    /// Persist the member's settled slots as a resumable checkpoint,
-    /// written with the same atomic rename discipline as the journal.
-    /// Unsettled slots become `Cancelled` placeholders — exactly the
-    /// partial-result shape `resume_from` validates.
-    fn write_checkpoint(
-        &self,
-        mr: &MemberRun,
-        slots: &[Option<PairMeasurement>],
-    ) -> std::io::Result<()> {
-        let start = self.now_ns();
-        let pairs: Vec<(usize, PairMeasurement)> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|m| (i, m.clone())))
-            .collect();
-        let result = mr
-            .session
-            .merge_shards(&mr.prelude, vec![ShardResult { shard: 0, pairs }]);
-        let doc = SpecCheckpoint {
-            spec: mr.spec.clone(),
-            result,
-        };
-        let saved = doc.save(&mr.ckpt_path);
-        self.record(Stage::CheckpointStall, self.now_ns().saturating_sub(start));
-        saved
-    }
-
-    /// Journal the job's shard ledger (pair/shard progress per member) so
-    /// `queue status` can report in-flight progress without tailing the
-    /// event feed.
-    fn update_ledger(&self, run: &Arc<JobRun>) -> QueueResult<()> {
-        let mut members = Vec::with_capacity(run.members.len());
-        for slot in &run.members {
-            match slot.get() {
-                Some(Some(mr)) => {
-                    let slots = mr.slots.lock().expect("member slots poisoned");
-                    members.push(MemberLedger {
-                        pairs_done: slots.iter().filter(|s| s.is_some()).count(),
-                        pairs_total: slots.len(),
-                        shards_done: mr.shards_done.load(Ordering::SeqCst),
-                        shards_total: mr.shards_total,
-                    });
-                }
-                _ => members.push(MemberLedger::default()),
-            }
-        }
+    /// Journal the job's shard ledger, once per member setup, so `queue
+    /// status` can show the plan without tailing the event feed (it counts
+    /// settled pairs from the settle logs).
+    fn journal_ledger(&self, run: &JobRun) -> QueueResult<()> {
         let job = {
             let mut job = run.job.lock().expect("job slot poisoned");
-            job.ledger = Some(ShardLedger { members });
+            job.ledger = Some(run.ledger());
             job.clone()
         };
         let _guard = self.claim_lock.lock();
@@ -1052,9 +1058,16 @@ impl WorkerPool {
         }
 
         if self.shutdown.is_cancelled() {
-            // Service shutdown: back to the queue; checkpoints (and the
-            // ledger) resume the job on restart.
+            // Service shutdown: back to the queue; the settle logs resume
+            // the job on restart. Make them durable and journal how far
+            // each member got.
+            for slot in &run.members {
+                if let Some(Some(mr)) = slot.get() {
+                    mr.log.flush()?;
+                }
+            }
             job.state = JobState::Queued;
+            job.ledger = Some(run.ledger());
             self.queue.save(&job)?;
             self.emit(QueueEvent::Requeued { job: job.id });
             self.stats.lock().requeued += 1;

@@ -8,7 +8,7 @@
 //!                                   pending set on settle
 //! <dir>/jobs/job-000001.cancel      cancellation request marker
 //! <dir>/jobs/corrupt/job-000001.json an unparsable entry, moved aside
-//! <dir>/checkpoints/job-000001.m0.json   per-member resume checkpoints
+//! <dir>/checkpoints/job-000001.m0.log    per-member settle log (resume)
 //! <dir>/store/                      the result cache (a ResultStore)
 //! <dir>/events.log                  append-only event feed (`queue watch`)
 //! <dir>/events.log.1                rotated previous feed generation
@@ -23,13 +23,20 @@
 //! every entry ever journaled. Recovery and `queue status` still read the
 //! full history ([`JobQueue::jobs`] merges both directories).
 //!
-//! Every state transition rewrites the job's journal file atomically
-//! (write-to-temp + rename, the same discipline as the checkpoint writer
-//! and the result store), so a crash at any instant leaves every job
-//! either fully in its old state or fully in its new one — never torn.
-//! Submissions claim their id with a hard-link publish (create-new
-//! semantics), so two concurrent `queue submit` processes can never land
-//! on the same id.
+//! Every state transition rewrites the job's journal file with
+//! [`write_atomic`] (write temp, fsync, rename, fsync the directory — the
+//! same primitive as the result store and the settle-log header), so a
+//! crash or power loss at any instant leaves every job either fully in its
+//! old state or fully in its new one — never torn. Submissions claim their
+//! id with a hard-link publish (create-new semantics, temp file and
+//! directory fsynced too), so two concurrent `queue submit` processes can
+//! never land on the same id.
+//!
+//! Each member campaign of a running job keeps a
+//! [`SettleLog`](latest_core::settle_log::SettleLog) under `checkpoints/`:
+//! a header, then one line per settled pair. A restarted service replays
+//! it to resume the job; [`JobQueue::live_ledger`] counts its lines for
+//! `queue status`.
 //!
 //! One torn or corrupt journal file must not stop the queue: the scans
 //! ([`JobQueue::jobs`], the pending set behind claiming, recovery) move an
@@ -55,11 +62,13 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use latest_core::durable::{sync_parent, write_atomic, write_synced};
+use latest_core::settle_log;
 use latest_core::spec::ScenarioSpec;
 use latest_core::store::RunId;
 
 use crate::error::{QueueError, QueueResult};
-use crate::job::{CompletionVia, Job, JobId, JobKey, JobState};
+use crate::job::{CompletionVia, Job, JobId, JobKey, JobState, ShardLedger};
 
 /// Options for one submission.
 #[derive(Clone, Copy, Debug, Default)]
@@ -234,11 +243,25 @@ impl JobQueue {
         self.done_dir().join(format!("{id}.json"))
     }
 
-    /// The checkpoint file for one member campaign of a job.
+    /// The settle log (resume checkpoint) for one member campaign of a
+    /// job.
     pub fn checkpoint_path(&self, id: JobId, member: usize) -> PathBuf {
         self.dir
             .join("checkpoints")
-            .join(format!("{id}.m{member}.json"))
+            .join(format!("{id}.m{member}.log"))
+    }
+
+    /// The job's journaled shard ledger with each member's settled-pair
+    /// count read live from its settle log (the journal is written only at
+    /// member setup and on requeue). `None` when the job has no ledger.
+    pub fn live_ledger(&self, job: &Job) -> Option<ShardLedger> {
+        let mut ledger = job.ledger.clone()?;
+        for (member, progress) in ledger.members.iter_mut().enumerate() {
+            if let Ok(settled) = settle_log::settled_pairs(&self.checkpoint_path(job.id, member)) {
+                progress.pairs_done = settled;
+            }
+        }
+        Some(ledger)
     }
 
     /// Remove every checkpoint a job left behind.
@@ -281,12 +304,13 @@ impl JobQueue {
     }
 
     /// Publish a brand-new journal entry with create-new semantics: write
-    /// the full content to a temp file, then hard-link it to its final
-    /// name — the link fails (instead of overwriting) if the id is taken,
-    /// and a crash mid-write leaves only an ignorable temp file. The temp
-    /// name carries the pid *and* a per-process counter: the queue is
-    /// `Clone` and takes `&self`, so two threads of one process may submit
-    /// concurrently and must not write through the same temp file.
+    /// and fsync the full content in a temp file, then hard-link it to its
+    /// final name and fsync the directory — the link fails (instead of
+    /// overwriting) if the id is taken, and a crash mid-write leaves only
+    /// an ignorable temp file. The temp name carries the pid *and* a
+    /// per-process counter: the queue is `Clone` and takes `&self`, so two
+    /// threads of one process may submit concurrently and must not write
+    /// through the same temp file.
     fn publish_new(&self, job: &Job) -> io::Result<()> {
         static SUBMIT_SEQ: AtomicU64 = AtomicU64::new(0);
         let path = self.path_of(job.id);
@@ -295,13 +319,15 @@ impl JobQueue {
             std::process::id(),
             SUBMIT_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&tmp, job.to_json())?;
+        write_synced(&tmp, job.to_json().as_bytes())?;
         let linked = fs::hard_link(&tmp, &path);
         let _ = fs::remove_file(&tmp);
-        linked
+        linked?;
+        sync_parent(&path)
     }
 
-    /// Rewrite a job's journal entry atomically (state transitions).
+    /// Rewrite a job's journal entry with [`write_atomic`] (state
+    /// transitions).
     ///
     /// Compaction happens here: a job entering a terminal state is written
     /// into `jobs/done/` and its pending entry removed, so the pending
@@ -315,9 +341,7 @@ impl JobQueue {
         } else {
             self.done_path(job.id)
         };
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, job.to_json())?;
-        fs::rename(&tmp, &path)?;
+        write_atomic(&path, job.to_json().as_bytes())?;
         if !job.state.is_pending() {
             match fs::remove_file(self.path_of(job.id)) {
                 Ok(()) => {}

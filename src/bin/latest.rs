@@ -24,11 +24,16 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use latest::core::output::write_pair_csv;
+use latest::core::settle_log::SettleLog;
 use latest::core::spec::{CampaignSpec, FleetSpec, ScenarioSpec, SpecCheckpoint};
 use latest::core::store::{ResultStore, StoreError, StoredRun};
-use latest::core::{CampaignEvent, CampaignResult, CampaignSession, FleetResult, PairOutcome};
+use latest::core::{
+    CampaignEvent, CampaignResult, CampaignSession, FleetResult, PairMeasurement, PairOutcome,
+};
 use latest::governor::{
     make_policy, replay_seed, scorecards_to_json, DaemonConfig, GovernorDaemon, LatencyTable,
     PowerModel, Scorecard, TransitionReplay, ZoneLadder, POLICY_NAMES,
@@ -109,10 +114,11 @@ run-only options:
                        archived run of the effective spec
   --json               emit the full result as JSON on stdout
   --progress           stream per-pair progress events to stderr
-  --checkpoint <path>  persist a resumable checkpoint to this file while
+  --checkpoint <path>  append every settled pair to this settle log while
                        running, and resume from it when it already exists
-                       (single-campaign specs only)
-  --checkpoint-every <n>  pairs between checkpoint writes    [5]
+                       (single-campaign specs only); a failed write ends
+                       the run with exit code 1
+  --checkpoint-every <n>  settled pairs between fsyncs of the log  [5]
   --shard-pairs <n>    schedule pairs in work units of at most n pairs
                        (shard progress events; results stay bitwise
                        identical to the default pair-granular scheduling)
@@ -501,10 +507,16 @@ fn run_campaign(spec: CampaignSpec, args: &RunArgs) -> ExitCode {
             eprintln!("progress: {}", fmt.lock().unwrap().line(e));
         });
     }
+    // The settle log: replayed here on a resume, otherwise started by the
+    // settle hook at the first settled pair (its header needs phase 1 and
+    // the probe). The hook keeps the first write error, and cancels the
+    // run so no further pair is measured unsaved.
+    let log: Arc<Mutex<Option<SettleLog>>> = Arc::new(Mutex::new(None));
+    let log_error: Arc<Mutex<Option<std::io::Error>>> = Arc::new(Mutex::new(None));
     if let Some(path) = &args.checkpoint {
         if path.is_file() {
-            let checkpoint = match SpecCheckpoint::load(path) {
-                Ok(cp) => cp,
+            let (checkpoint, replayed) = match SettleLog::replay(path) {
+                Ok(replayed) => replayed,
                 Err(e) => {
                     eprintln!(
                         "error: checkpoint {} is unreadable ({e}); delete it to start fresh",
@@ -537,16 +549,22 @@ fn run_campaign(spec: CampaignSpec, args: &RunArgs) -> ExitCode {
                 checkpoint.result.pairs().len()
             );
             session = session.resume_from(checkpoint.result);
+            *log.lock().unwrap() = Some(replayed);
         }
-        let sink_path = path.clone();
-        let sink_spec = spec.clone();
-        session = session.checkpoint_to(args.checkpoint_every, move |cp: &CampaignResult| {
-            let doc = SpecCheckpoint {
-                spec: sink_spec.clone(),
-                result: cp.clone(),
+        let (hook_log, hook_error) = (log.clone(), log_error.clone());
+        let (path, spec, every) = (path.clone(), spec.clone(), args.checkpoint_every.max(1));
+        let token = session.cancel_token();
+        let settled = AtomicUsize::new(0);
+        session = session.on_settle(move |header, index, meas| {
+            let flush = (settled.fetch_add(1, Ordering::SeqCst) + 1).is_multiple_of(every);
+            let mut log = hook_log.lock().unwrap();
+            let cp = || SpecCheckpoint {
+                spec: spec.clone(),
+                result: header.clone(),
             };
-            if let Err(e) = doc.save(&sink_path) {
-                eprintln!("warning: writing checkpoint {}: {e}", sink_path.display());
+            if let Err(e) = append_settled(&mut log, &path, cp, index, meas, flush) {
+                hook_error.lock().unwrap().get_or_insert(e);
+                token.cancel();
             }
         });
     }
@@ -555,6 +573,15 @@ fn run_campaign(spec: CampaignSpec, args: &RunArgs) -> ExitCode {
         Some(n) => session.run_sharded(n),
         None => session.run(),
     };
+    let flushed = match log.lock().unwrap().as_ref() {
+        Some(log) => log.flush(),
+        None => Ok(()),
+    };
+    if let Some(e) = log_error.lock().unwrap().take().or(flushed.err()) {
+        let path = args.checkpoint.as_deref().unwrap_or(Path::new(""));
+        eprintln!("error: writing checkpoint {}: {e}", path.display());
+        return ExitCode::FAILURE;
+    }
     let result = match outcome {
         Ok(r) => r,
         Err(e) => {
@@ -579,6 +606,28 @@ fn run_campaign(spec: CampaignSpec, args: &RunArgs) -> ExitCode {
         }
     }
     finish_campaign(&result, args, &hostname, device_index)
+}
+
+/// Append one settled pair to the `--checkpoint` settle log, creating the
+/// log (its header from `header()`) at the first pair of a fresh run, and
+/// fsync it when `flush` is set.
+fn append_settled(
+    log: &mut Option<SettleLog>,
+    path: &Path,
+    header: impl FnOnce() -> SpecCheckpoint,
+    index: usize,
+    meas: &PairMeasurement,
+    flush: bool,
+) -> std::io::Result<()> {
+    if log.is_none() {
+        *log = Some(SettleLog::create(path, &header())?);
+    }
+    let log = log.as_ref().expect("created above");
+    log.append(index, meas)?;
+    if flush {
+        log.flush()?;
+    }
+    Ok(())
 }
 
 /// The common output tail of `latest run` for campaigns, shared between a
@@ -1051,7 +1100,8 @@ The campaign execution service: a persistent job queue, a bounded worker
 pool, and a content-addressed result cache. Submissions of the same spec
 coalesce onto one execution; archived runs are served without
 recomputation; a killed service resumes every in-flight job from its
-checkpoint on restart.
+settle logs on restart (checkpoints/<job>.m<member>.log: one line per
+settled pair, so a kill loses none).
 
 commands:
   submit <spec.json> [--priority P] [--force]
@@ -1067,7 +1117,9 @@ commands:
                        to events.log.1 at --log-max-bytes (default 8 MiB,
                        0 = unbounded); --virtual-clock times telemetry on
                        a deterministic tick clock (pair with --workers 1
-                       for bitwise-reproducible snapshots)
+                       for bitwise-reproducible snapshots).
+                       --checkpoint-every: settled pairs between fsyncs
+                       of a member's settle log (default 1)
   status [<job-id>]    show job states; exits 0 only when all jobs are
                        done, 1 on failures/cancellations, 3 while pending
   stats [--json|--csv] per-stage service latency (p50/p90/p99/max) from
@@ -1393,7 +1445,7 @@ fn queue_status(raw: &[String]) -> ExitCode {
     for job in &jobs {
         // A pending job with a journaled shard ledger (running, or
         // requeued mid-flight by a shutdown) shows its progress inline.
-        let detail = match &job.ledger {
+        let detail = match queue.live_ledger(job) {
             Some(ledger) if job.state.is_pending() => {
                 format!("{} — {}", job.state, ledger.summary())
             }

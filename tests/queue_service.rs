@@ -462,12 +462,15 @@ fn killed_pool_resumes_mid_shard_bitwise() {
         "the kill must land mid-job: {stats:?}"
     );
     let requeued = pool.queue().load(job.id).unwrap();
+    let live = pool.queue().live_ledger(&requeued);
     let ledger = requeued.ledger.expect("a requeued job keeps its ledger");
     assert!(
         ledger.pairs_done() >= 1 && ledger.pairs_done() < ledger.pairs_total(),
         "ledger must record partial progress: {}",
         ledger.summary()
     );
+    // `queue status` counts the same pairs from the settle log.
+    assert_eq!(live, Some(ledger));
     drop(pool);
 
     // Restart on the same directory: the resumed drain restores the
@@ -608,11 +611,11 @@ fn a_failed_checkpoint_write_fails_the_drain() {
         .submit(ScenarioSpec::Campaign(tiny(12)), SubmitOptions::default())
         .unwrap();
     // Permission bits do not stop a root test runner, so the write is made
-    // to fail by a directory squatting on the checkpoint's temp path.
+    // to fail by a directory squatting on the settle-log header's temp path.
     let tmp = pool
         .queue()
         .checkpoint_path(job.id, 0)
-        .with_extension("tmp");
+        .with_extension("log.tmp");
     fs::create_dir_all(&tmp).unwrap();
     match pool.drain() {
         Err(latest::queue::QueueError::Io(_)) => {}
