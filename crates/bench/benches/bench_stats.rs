@@ -3,6 +3,7 @@
 //! per pass, so their throughput bounds the evaluation phase.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use latest_stats::dist::student_t_quantile;
 use latest_stats::{diff_confidence_interval, welch_t_test, RunningStats, Summary};
 use std::hint::black_box;
 
@@ -62,5 +63,23 @@ fn bench_merge(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_running_stats, bench_welch, bench_merge);
+fn bench_t_quantile(c: &mut Criterion) {
+    // The Welch interval's critical value at 95 % confidence: phase 3 asks
+    // for one per SM per pass, at the small-sample dof of a confirm window.
+    let mut g = c.benchmark_group("student_t_quantile");
+    for dof in [5.0f64, 50.0, 500.0] {
+        g.bench_with_input(BenchmarkId::from_parameter(dof), &dof, |b, &dof| {
+            b.iter(|| black_box(student_t_quantile(black_box(0.975), dof)))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_running_stats,
+    bench_welch,
+    bench_merge,
+    bench_t_quantile
+);
 criterion_main!(benches);

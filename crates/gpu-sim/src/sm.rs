@@ -243,6 +243,10 @@ impl Default for WorkloadRegistry {
 /// device's internal bookkeeping. `mem` supplies the memory-clock trajectory
 /// for workloads with a DRAM stall; `None` (or `mem_stall_ns == 0`) runs the
 /// historical pure-arithmetic path bit-for-bit.
+///
+/// Two passes: every iteration's noise is drawn first (no iteration's draw
+/// depends on the time chain, so the RNG stream is consumed in the same
+/// order as drawing inside the chain), then the cursor integrates them.
 pub fn run_sm<R: Rng + ?Sized>(
     traj: &FreqTrajectory,
     start: SimTime,
@@ -252,40 +256,55 @@ pub fn run_sm<R: Rng + ?Sized>(
     rng: &mut R,
     mem: Option<MemView<'_>>,
 ) -> (Vec<IterRecord>, SimTime) {
-    let noise = Normal::new(1.0, params.noise_rel_sigma);
+    let draws = draw_iterations(n_iters, params, rng);
+    let stall = mem.filter(|_| params.mem_stall_ns > 0.0);
+    let overhead = SimDuration::from_nanos(params.inter_iter_overhead_ns);
     let mut cursor = traj.cursor(start);
-    let mut records = Vec::with_capacity(n_iters as usize);
-    for _ in 0..n_iters {
+    let mut records = Vec::with_capacity(draws.len());
+    for &(work, stall_factor) in &draws {
         let t0 = cursor.time();
-        let factor = noise.sample_clamped(rng, 4.0).max(0.01);
-        let mut work = params.work_cycles * factor;
-        let mut stall_factor = factor;
-        if params.spike_prob > 0.0 && rng.gen::<f64>() < params.spike_prob {
-            work *= params.spike_scale;
-            stall_factor *= params.spike_scale;
-        }
         let mut t1 = cursor.advance_cycles(work);
-        if params.mem_stall_ns > 0.0 {
-            if let Some(m) = mem {
-                // The stall is a fixed cycle count on the *memory* clock; it
-                // shares the iteration's noise/spike factor (one draw per
-                // iteration keeps the RNG stream identical to the
-                // single-domain engine).
-                let mem_cycles = params.mem_stall_ns * m.reference_mhz * 1e-3 * stall_factor;
-                let stall_end = m.traj.advance_cycles(t1, mem_cycles);
-                cursor.skip(stall_end.saturating_since(t1));
-                t1 = cursor.time();
-            }
+        if let Some(m) = stall {
+            // The stall is a fixed cycle count on the *memory* clock; it
+            // shares the iteration's noise/spike factor (one draw per
+            // iteration keeps the RNG stream identical to the
+            // single-domain engine).
+            let mem_cycles = params.mem_stall_ns * m.reference_mhz * 1e-3 * stall_factor;
+            let stall_end = m.traj.advance_cycles(t1, mem_cycles);
+            cursor.skip(stall_end.saturating_since(t1));
+            t1 = cursor.time();
         }
         records.push(IterRecord {
             start: timer.project(t0),
             end: timer.project(t1),
         });
         if params.inter_iter_overhead_ns > 0 {
-            cursor.skip(SimDuration::from_nanos(params.inter_iter_overhead_ns));
+            cursor.skip(overhead);
         }
     }
     (records, cursor.time())
+}
+
+/// Each iteration's `(work cycles, memory-stall factor)`: one clamped
+/// normal draw, then, for spiky workloads, one uniform for the spike.
+fn draw_iterations<R: Rng + ?Sized>(
+    n_iters: u32,
+    params: &WorkloadParams,
+    rng: &mut R,
+) -> Vec<(f64, f64)> {
+    let noise = Normal::new(1.0, params.noise_rel_sigma);
+    (0..n_iters)
+        .map(|_| {
+            let factor = noise.sample_clamped(rng, 4.0).max(0.01);
+            let mut work = params.work_cycles * factor;
+            let mut stall_factor = factor;
+            if params.spike_prob > 0.0 && rng.gen::<f64>() < params.spike_prob {
+                work *= params.spike_scale;
+                stall_factor *= params.spike_scale;
+            }
+            (work, stall_factor)
+        })
+        .collect()
 }
 
 /// Noise-free end-time estimate for `n_iters` iterations starting at `start`

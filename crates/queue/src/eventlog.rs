@@ -13,6 +13,7 @@
 //! (milliseconds) against the cap (megabytes) makes that a non-event in
 //! practice.
 
+use latest_core::durable::sync_parent;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::MetadataExt;
@@ -57,12 +58,15 @@ impl EventLog {
             if len > 0 && len + line.len() as u64 + 1 > self.max_bytes {
                 // Rename is atomic on the same filesystem; a reader polling
                 // mid-rotation sees either the old live file or the new
-                // (initially empty) one, never a torn state.
+                // (initially empty) one, never a torn state. Syncing the
+                // directory makes the rename and the new file survive a
+                // power loss.
                 fs::rename(&self.path, &self.rotated)?;
                 *file = fs::File::options()
                     .create(true)
                     .append(true)
                     .open(&self.path)?;
+                sync_parent(&self.path)?;
             }
         }
         writeln!(file, "{line}")

@@ -389,11 +389,22 @@ impl JobQueue {
     }
 
     /// Journal entries moved into `jobs/corrupt/` because they did not
-    /// parse, in id order.
+    /// parse, in id order. A missing directory means none; one that
+    /// cannot be listed (say, a file squatting on its path) is an error
+    /// naming it.
     pub fn quarantined(&self) -> QueueResult<Vec<PathBuf>> {
         let dir = self.corrupt_dir();
-        Ok(self
-            .quarantined_ids()?
+        let mut ids = match Self::ids_in(&dir) {
+            Ok(ids) => ids,
+            Err(QueueError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(QueueError::Io(e)) => {
+                let message = format!("listing {}: {e}", dir.display());
+                return Err(QueueError::Io(io::Error::new(e.kind(), message)));
+            }
+            Err(e) => return Err(e),
+        };
+        ids.sort();
+        Ok(ids
             .into_iter()
             .map(|id| dir.join(format!("{id}.json")))
             .collect())

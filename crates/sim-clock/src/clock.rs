@@ -125,6 +125,7 @@ impl ClockView {
 
     /// What this oscillator would report at global time `t`. Used by the
     /// device simulator to stamp iteration records.
+    #[inline]
     pub fn project(&self, t: SimTime) -> SimTime {
         // Zero drift stays in integer arithmetic: the f64 path loses ULPs
         // beyond 2^53 ns (~104 days of virtual time).

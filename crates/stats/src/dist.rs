@@ -130,7 +130,21 @@ pub fn incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
     if x >= 1.0 {
         return 1.0;
     }
-    let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
+    incomplete_beta_inner(a, b, x, ln_beta_prefix(a, b))
+}
+
+/// `ln Γ(a+b) − ln Γ(a) − ln Γ(b)`: the part of the incomplete beta's front
+/// factor that depends on the shape alone.
+fn ln_beta_prefix(a: f64, b: f64) -> f64 {
+    ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
+}
+
+/// [`incomplete_beta`] for `0 < x < 1` with the shape prefix precomputed.
+/// The front factor adds its terms left to right as the one-line form
+/// `ln_gamma(a+b) - ln_gamma(a) - ln_gamma(b) + a*ln x + b*ln(1-x)` does, so
+/// the result is bit-identical.
+fn incomplete_beta_inner(a: f64, b: f64, x: f64, prefix: f64) -> f64 {
+    let ln_front = prefix + a * x.ln() + b * (1.0 - x).ln();
     let front = ln_front.exp();
     if x < (a + 1.0) / (a + b + 2.0) {
         front * beta_cf(a, b, x) / a
@@ -195,20 +209,203 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
 /// degrees of freedom).
 pub fn student_t_cdf(t: f64, dof: f64) -> f64 {
     assert!(dof > 0.0, "student_t_cdf requires dof > 0");
-    if t.is_infinite() {
-        return if t > 0.0 { 1.0 } else { 0.0 };
+    StudentT::new(dof).cdf(t)
+}
+
+/// A Student-t distribution with its shape-only constant computed once, so
+/// repeated CDF evaluations at one `dof` skip three `ln_gamma` calls each.
+struct StudentT {
+    dof: f64,
+    /// `ln_beta_prefix(dof/2, 1/2)`.
+    prefix: f64,
+}
+
+impl StudentT {
+    fn new(dof: f64) -> Self {
+        StudentT {
+            dof,
+            prefix: ln_beta_prefix(dof / 2.0, 0.5),
+        }
     }
-    let x = dof / (dof + t * t);
-    let p = 0.5 * incomplete_beta(dof / 2.0, 0.5, x);
-    if t >= 0.0 {
-        1.0 - p
-    } else {
-        p
+
+    /// Bit-identical to the one-call form
+    /// `0.5 * incomplete_beta(dof/2, 0.5, dof/(dof+t²))`, mirrored for t ≥ 0.
+    fn cdf(&self, t: f64) -> f64 {
+        #[cfg(test)]
+        tests::CDF_CALLS.with(|c| c.set(c.get() + 1));
+        if t.is_infinite() {
+            return if t > 0.0 { 1.0 } else { 0.0 };
+        }
+        let x = self.dof / (self.dof + t * t);
+        let ib = if x <= 0.0 {
+            0.0
+        } else if x >= 1.0 {
+            1.0
+        } else {
+            incomplete_beta_inner(self.dof / 2.0, 0.5, x, self.prefix)
+        };
+        let p = 0.5 * ib;
+        if t >= 0.0 {
+            1.0 - p
+        } else {
+            p
+        }
+    }
+
+    /// Density. `Γ((ν+1)/2) / (Γ(ν/2) √(νπ))` is `exp(prefix) / √ν` because
+    /// `ln Γ(1/2) = ln √π`.
+    fn pdf(&self, t: f64) -> f64 {
+        let nu = self.dof;
+        (self.prefix - 0.5 * nu.ln() - 0.5 * (nu + 1.0) * (t * t / nu).ln_1p()).exp()
+    }
+
+    /// `d/dt ln pdf(t)`: the density's relative slope, which scales the
+    /// error Newton's method leaves after a step.
+    fn ln_pdf_slope(&self, t: f64) -> f64 {
+        -(self.dof + 1.0) * t / (self.dof + t * t)
+    }
+
+    /// A bound on how far the computed CDF can wander, from one `t` to a
+    /// nearby one, around the exact CDF at the level `p` (the constant
+    /// prefix error is common to every call and cancels). The front factor
+    /// `exp(prefix + a·ln x + b·ln(1−x))` carries a relative error of about
+    /// `ε·(a + b·x/(1−x) + |ln front|)` from rounding `x = ν/(ν+t²)` and the
+    /// logarithms, and it multiplies the smaller of the two tails that the
+    /// chosen continued-fraction branch returns; the last subtraction adds
+    /// one ulp of 1. The factor 16 is headroom over that first-order count.
+    fn cdf_noise(&self, t: f64, p: f64) -> f64 {
+        let (a, b) = (self.dof / 2.0, 0.5);
+        let x = self.dof / (self.dof + t * t);
+        let tail = if x < (a + 1.0) / (a + b + 2.0) {
+            p.min(1.0 - p)
+        } else {
+            (p - 0.5).abs()
+        };
+        let amplification = 2.0 * a + 2.0 * b * x / (1.0 - x) + 750.0;
+        16.0 * f64::EPSILON * (1.0 + tail * amplification)
+    }
+
+    /// Half-width δ of the band around a crossing at `q` that the
+    /// certificate covers: at least 1e-11, and wide enough that the exact
+    /// CDF moves by four noise bounds across it.
+    fn guard_delta(&self, q: f64, p: f64) -> f64 {
+        1e-11_f64.max(4.0 * self.cdf_noise(q, p) / self.pdf(q))
     }
 }
 
-/// Inverse Student-t CDF (quantile). Bisection seeded with the normal
-/// quantile, refined by Newton steps; |err| < 1e-9 in t-units.
+/// Finds where the computed CDF crosses `p` and certifies it: returns
+/// `(q, δ)` such that, for every `t` with `|t − q| > 2δ`, the computed
+/// `cdf(t) > p` holds exactly when `t > q`. `None` when the crossing could
+/// not be pinned down; the caller then evaluates the CDF itself.
+///
+/// The estimate starts from the Cornish–Fisher expansion around the normal
+/// quantile (or, for heavy tails, the power-law tail) and takes safeguarded
+/// Newton steps with the t density. The certificate is two real CDF calls at
+/// `q ∓ δ` that must clear `p` by twice the [`StudentT::cdf_noise`] bound.
+/// The exact CDF rises monotonically, so the computed one then stays at
+/// least one noise bound below `p` left of `q − δ` and above `p` right of
+/// `q + δ`: within that bound, no rounding can flip a comparison there. The
+/// bound is an error model, not a proof; the tests check the quantile bit
+/// for bit against the plain bisection on a grid of over 100k cases.
+fn certified_crossing(t: &StudentT, p: f64) -> Option<(f64, f64)> {
+    const MAX_NEWTON: usize = 60;
+    let nu = t.dof;
+    let mut q = quantile_estimate(p, nu, t.prefix);
+    // The exact CDF is 1/2 at 0, so the crossing lies on the side of p.
+    let (mut lo, mut hi) = if p > 0.5 {
+        (0.0, f64::INFINITY)
+    } else {
+        (f64::NEG_INFINITY, 0.0)
+    };
+    let mut converged = false;
+    for _ in 0..MAX_NEWTON {
+        let f = t.cdf(q) - p;
+        if f > 0.0 {
+            hi = hi.min(q);
+        } else if f < 0.0 {
+            lo = lo.max(q);
+        }
+        let step = f / t.pdf(q);
+        let next = q - step;
+        if next > lo && next < hi {
+            // Newton leaves about |f''/2f'|·step² (plus a cubic term that
+            // matters only near t = 0, where f'' vanishes).
+            let left = 0.5 * t.ln_pdf_slope(next).abs() * step * step
+                + (nu + 1.0) / nu * step.abs().powi(3);
+            q = next;
+            if left < t.guard_delta(q, p) / 8.0 {
+                converged = true;
+                break;
+            }
+        } else if hi.is_infinite() {
+            q = 2.0 * q.max(lo) + 1.0;
+        } else if lo.is_infinite() {
+            q = 2.0 * q.min(hi) - 1.0;
+        } else if lo > 0.0 && hi > 4.0 * lo {
+            q = (lo * hi).sqrt();
+        } else if hi < 0.0 && lo < 4.0 * hi {
+            q = -(lo * hi).sqrt();
+        } else {
+            q = 0.5 * (lo + hi);
+        }
+    }
+    if !converged || !q.is_finite() {
+        return None;
+    }
+    let noise = t.cdf_noise(q, p);
+    let delta = t.guard_delta(q, p);
+    if !delta.is_finite() {
+        return None;
+    }
+    let certified = t.cdf(q - delta) <= p - 2.0 * noise && t.cdf(q + delta) > p + 2.0 * noise;
+    certified.then_some((q, delta))
+}
+
+/// Starting point for [`certified_crossing`]: the Cornish–Fisher expansion
+/// of the t quantile in powers of 1/ν around `z = Φ⁻¹(p)`, summed while its
+/// terms shrink; for ν < 4 far in a tail, the power-law tail
+/// `P(T > t) ≈ c·ν^((ν−1)/2)·t^(−ν)` inverted, `c` the density constant.
+fn quantile_estimate(p: f64, nu: f64, prefix: f64) -> f64 {
+    let tail = p.min(1.0 - p);
+    let sign = if p > 0.5 { 1.0 } else { -1.0 };
+    if nu < 4.0 && tail < 0.1 {
+        let ln_c = prefix - 0.5 * nu.ln();
+        let ln_t = (ln_c + 0.5 * (nu - 1.0) * nu.ln() - tail.ln()) / nu;
+        return sign * ln_t.exp();
+    }
+    let z = normal_quantile(p);
+    let z2 = z * z;
+    let terms = [
+        z * (z2 + 1.0) / 4.0,
+        z * ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0,
+        z * (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0,
+        z * ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / 92160.0,
+    ];
+    let mut est = z;
+    let mut scale = 1.0;
+    let mut last = f64::INFINITY;
+    for g in terms {
+        scale /= nu;
+        let term = g * scale;
+        if term.abs() >= last {
+            break;
+        }
+        est += term;
+        last = term.abs();
+    }
+    est
+}
+
+/// Inverse Student-t CDF (quantile): the midpoint of the final bracket of a
+/// bisection on the computed CDF, started from the normal quantile inside
+/// [−1000, 1000] and stopped once the bracket is narrower than 1e-10.
+///
+/// The result is bit-identical to running that bisection with a real CDF
+/// call at every step, but most steps are decided without one: a certified
+/// crossing `q` (see `certified_crossing`) answers "is `cdf(mid) > p`?"
+/// as `mid > q` whenever `mid` lies more than 2δ from `q`, where no rounding
+/// of the computed CDF can flip the answer. Only the few midpoints inside
+/// that band, and every step when certification fails, call the CDF.
 ///
 /// Panics if `p` is outside (0, 1).
 pub fn student_t_quantile(p: f64, dof: f64) -> f64 {
@@ -221,11 +418,18 @@ pub fn student_t_quantile(p: f64, dof: f64) -> f64 {
         return 0.0;
     }
 
+    let dist = StudentT::new(dof);
+    let crossing = certified_crossing(&dist, p);
+    let cdf_above = |t: f64| match crossing {
+        Some((q, delta)) if (t - q).abs() > 2.0 * delta => t > q,
+        _ => dist.cdf(t) > p,
+    };
+
     // Bracket: start from the normal quantile and expand.
     let mut lo = -1e3;
     let mut hi = 1e3;
     let guess = normal_quantile(p);
-    if student_t_cdf(guess, dof) > p {
+    if cdf_above(guess) {
         hi = guess;
     } else {
         lo = guess;
@@ -233,7 +437,7 @@ pub fn student_t_quantile(p: f64, dof: f64) -> f64 {
     // Bisection to ~1e-10.
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        if student_t_cdf(mid, dof) > p {
+        if cdf_above(mid) {
             hi = mid;
         } else {
             lo = mid;
@@ -266,6 +470,104 @@ pub fn z_critical_two_sided(confidence: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Student-t CDF evaluations made on this thread.
+        pub(super) static CDF_CALLS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The plain bisection that `student_t_quantile` replays: one real CDF
+    /// call per step.
+    fn reference_quantile(p: f64, dof: f64) -> f64 {
+        if (p - 0.5).abs() < 1e-15 {
+            return 0.0;
+        }
+        let mut lo = -1e3;
+        let mut hi = 1e3;
+        let guess = normal_quantile(p);
+        if student_t_cdf(guess, dof) > p {
+            hi = guess;
+        } else {
+            lo = guess;
+        }
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if student_t_cdf(mid, dof) > p {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+            if hi - lo < 1e-10 {
+                break;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// Compares both quantiles bit for bit on every `(p, dof)` and returns
+    /// the CDF evaluations each one made.
+    fn compare_quantiles(ps: &[f64], dofs: &[f64]) -> (u64, u64) {
+        let (mut fast_calls, mut reference_calls) = (0, 0);
+        for &dof in dofs {
+            for &p in ps {
+                let before = CDF_CALLS.with(Cell::get);
+                let fast = student_t_quantile(p, dof);
+                let mid = CDF_CALLS.with(Cell::get);
+                let want = reference_quantile(p, dof);
+                let after = CDF_CALLS.with(Cell::get);
+                assert_eq!(
+                    fast.to_bits(),
+                    want.to_bits(),
+                    "p={p:e} dof={dof:e}: {fast:e} vs reference {want:e}"
+                );
+                fast_calls += mid - before;
+                reference_calls += after - mid;
+            }
+        }
+        (fast_calls, reference_calls)
+    }
+
+    #[test]
+    fn t_quantile_is_bit_identical_to_the_reference_bisection() {
+        // Confidence levels the methodology uses, their lower tails, and a
+        // sweep across the body, including points close to the median.
+        let mut ps = vec![0.9, 0.95, 0.975, 0.995, 0.9995];
+        ps.extend([
+            0.001,
+            0.01,
+            0.05,
+            0.2,
+            0.3,
+            0.4,
+            0.45,
+            0.49,
+            0.499,
+            0.5 + 1e-6,
+        ]);
+        ps.extend(ps.clone().iter().map(|p| 1.0 - p));
+        // dof from 0.5 to 1e6, log-spaced, plus every integer up to 60.
+        let n = 4_800;
+        let mut dofs: Vec<f64> = (0..n)
+            .map(|i| 0.5 * (2e6f64).powf(i as f64 / (n - 1) as f64))
+            .collect();
+        dofs.extend((1..=60).map(f64::from));
+        assert!(ps.len() * dofs.len() >= 100_000);
+        // Two halves of the dof range on two threads.
+        let (a, b) = dofs.split_at(dofs.len() / 2);
+        let (ps_a, ps_b) = (ps.clone(), ps.clone());
+        let (fast_calls, reference_calls) = std::thread::scope(|s| {
+            let h = s.spawn(move || compare_quantiles(&ps_b, b));
+            let (fa, ra) = compare_quantiles(&ps_a, a);
+            let (fb, rb) = h.join().unwrap();
+            (fa + fb, ra + rb)
+        });
+        eprintln!("DEBUG {fast_calls} {reference_calls}");
+        assert!(
+            4 * fast_calls <= reference_calls,
+            "{fast_calls} CDF calls vs {reference_calls} for the reference"
+        );
+    }
 
     #[test]
     fn erf_reference_values() {

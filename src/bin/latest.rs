@@ -24,7 +24,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use latest::core::output::write_pair_csv;
@@ -1349,6 +1349,7 @@ fn queue_serve(raw: &[String]) -> ExitCode {
     // formatters read the same deterministic tick time as the telemetry.
     let formatters =
         std::sync::Mutex::new(std::collections::HashMap::<JobId, ProgressFormatter>::new());
+    let log_failed = AtomicBool::new(false);
     let pool = pool.observe(move |e: &QueueEvent| {
         let line = match e {
             QueueEvent::Planned { job, pairs, .. } => {
@@ -1366,16 +1367,22 @@ fn queue_serve(raw: &[String]) -> ExitCode {
             other => other.to_string(),
         };
         eprintln!("{line}");
-        let _ = log.append_line(&line);
+        if let Err(err) = log.append_line(&line) {
+            // Serving goes on; the feed still reaches stderr.
+            if !log_failed.swap(true, Ordering::Relaxed) {
+                eprintln!("warning: writing {}: {err}", log_path.display());
+            }
+        }
     });
 
-    let quarantined_before = pool.queue().quarantined().unwrap_or_default();
+    let mut scan_warned = false;
+    let quarantined_before = quarantined_or_warn(pool.queue(), &mut scan_warned);
     let outcome = if args.drain {
         pool.drain()
     } else {
         pool.serve()
     };
-    for path in pool.queue().quarantined().unwrap_or_default() {
+    for path in quarantined_or_warn(pool.queue(), &mut scan_warned) {
         if !quarantined_before.contains(&path) {
             warn_quarantined(&path);
         }
@@ -1397,6 +1404,17 @@ fn queue_serve(raw: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// [`JobQueue::quarantined`], or none after warning (once per `warned`
+/// flag) when the quarantine cannot be listed.
+fn quarantined_or_warn(queue: &JobQueue, warned: &mut bool) -> Vec<PathBuf> {
+    queue.quarantined().unwrap_or_else(|e| {
+        if !std::mem::replace(warned, true) {
+            eprintln!("warning: cannot list quarantined journal entries: {e}");
+        }
+        Vec::new()
+    })
 }
 
 fn warn_quarantined(path: &std::path::Path) {
@@ -1438,7 +1456,7 @@ fn queue_status(raw: &[String]) -> ExitCode {
         }
         _ => return queue_fail("status takes at most one job id"),
     };
-    for path in queue.quarantined().unwrap_or_default() {
+    for path in quarantined_or_warn(&queue, &mut false) {
         warn_quarantined(&path);
     }
     let mut table = TextTable::with_header(&["job", "priority", "state", "work", "detail"]);
